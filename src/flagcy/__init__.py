@@ -17,7 +17,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     InvalidRank,
-    NotIntegral,
     NotKahler,
     NotPrimitive,
     NotProportional,
@@ -30,25 +29,18 @@ from .root_system import (
     LieType,
     PositiveRoot,
     RootDatum,
-    Weight,
     build_root_datum,
     cartan_matrix,
-    pairing,
     positive_root_count,
-    root_as_weight,
     symmetrizer,
-    weight_from,
-    weyl_vector,
 )
 from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
     anticanonical_class,
     anticanonical_coeffs,
-    anticanonical_weight,
     basis_class,
     class_from_coeffs,
-    class_weight,
     degree,
     endomorphism_eigenvalues,
     fano_index,
@@ -62,7 +54,6 @@ from .flag_geometry import (
 from .picard_lattice import (
     LineBundleClass,
     PrimitiveBasis,
-    hodge_riemann_pairing,
     integer_combination,
     is_primitive,
     orthogonal_decompose,

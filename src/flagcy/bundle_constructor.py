@@ -73,16 +73,29 @@ class BalancedDatum:
     psi: tuple[InvariantClass, ...]
 
 
-def ricci_flat_scale(flag: ParabolicFlag, k: int, t) -> Fraction:
-    """The positive factor (1-t)/2 * k^2 * dim / index^2 scaling the base metric."""
+def _exact_k_t(k, t, t_message: str | None) -> tuple[int, Fraction]:
+    """``k`` and ``t`` as exact numbers, validated once per call.
+
+    ``k`` must be nonzero; ``t >= 1`` raises with ``t_message`` unless that
+    is None (diagnostic mode).
+    """
     k = int(k)
     t = Fraction(t)
     if k == 0:
         raise InvalidParameter("twist k must be a nonzero integer")
-    if t >= 1:
-        raise InvalidParameter("connection parameter t must be < 1")
-    index = fano_index(flag)
+    if t_message is not None and t >= 1:
+        raise InvalidParameter(t_message)
+    return k, t
+
+
+def _scale(flag: ParabolicFlag, k: int, t: Fraction, index: int) -> Fraction:
     return (1 - t) / 2 * Fraction(k * k * flag.dim_c, index * index)
+
+
+def ricci_flat_scale(flag: ParabolicFlag, k: int, t) -> Fraction:
+    """The positive factor (1-t)/2 * k^2 * dim / index^2 scaling the base metric."""
+    k, t = _exact_k_t(k, t, "connection parameter t must be < 1")
+    return _scale(flag, k, t, fano_index(flag))
 
 
 def build_t_gauduchon(
@@ -104,12 +117,9 @@ def build_t_gauduchon(
     """
     if flag.picard_rank < 2:
         raise PicardRankOne("the construction needs Picard rank at least 2")
-    k = int(k)
-    t = Fraction(t)
-    if k == 0:
-        raise InvalidParameter("twist k must be a nonzero integer")
-    if not diagnostic and t >= 1:
-        raise InvalidParameter("connection parameter t must be < 1 (use diagnostic mode to bypass)")
+    k, t = _exact_k_t(
+        k, t, None if diagnostic else "connection parameter t must be < 1 (use diagnostic mode to bypass)"
+    )
     if len(bundles) % 2 != 1:
         raise InvalidParameter(
             f"need an odd number 2r-1 of degree-zero bundles, got {len(bundles)}"
@@ -123,16 +133,16 @@ def build_t_gauduchon(
         if value != 0:
             raise NotPrimitive(j)
 
+    index = fano_index(flag)
     if scale is None:
         # at t >= 1 (diagnostic only) the closed-form scale degenerates; any
         # positive base scale exposes the same nonzero residual
-        scale = ricci_flat_scale(flag, k, t) if t < 1 else Fraction(1)
+        scale = _scale(flag, k, t, index) if t < 1 else Fraction(1)
     else:
         scale = Fraction(scale)
         if scale <= 0:
             raise InvalidParameter("scale override must be positive")
 
-    index = fano_index(flag)
     ell = anticanonical_coeffs(flag)
     omega0 = InvariantClass(1, tuple(scale * l for l in ell))
     psi_first = InvariantClass(1, tuple(Fraction(k * l, index) for l in ell))

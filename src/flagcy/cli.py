@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import isfinite
 from typing import Sequence
 
 from .bundle_constructor import (
@@ -105,10 +106,15 @@ def _class_json(flag: ParabolicFlag, c: InvariantClass) -> dict:
     return {"two_pi_power": c.two_pi_power, "coeffs": _coeff_map(flag, c.coeffs)}
 
 
+def _echo(value):
+    # JSON has no literal for nan or inf, so a non-finite float is echoed as text
+    return str(value) if isinstance(value, float) and not isfinite(value) else value
+
+
 def _inputs_echo(args) -> dict:
     keys = ("family", "rank", "parabolic", "omega0", "gamma", "k", "t",
             "bundle", "psi", "step", "tol", "diagnostic", "format")
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    return {k: _echo(getattr(args, k)) for k in keys if hasattr(args, k)}
 
 
 def _cmd_describe(args) -> dict:

@@ -21,10 +21,6 @@ class NotKahler(FlagcyError):
     """A class required to be Kahler has a nonpositive coefficient."""
 
 
-class NotIntegral(FlagcyError):
-    """An integral class was required but a non-integer showed up."""
-
-
 class PicardRankOne(FlagcyError):
     """The degree-zero Picard lattice is trivial for Picard rank one."""
 

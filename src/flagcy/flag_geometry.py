@@ -6,27 +6,25 @@ the Picard generators; every invariant real (1,1)-class is an exact rational
 vector over that basis, with an explicit integer power of 2*pi carried
 separately so that no transcendental factor is ever multiplied out.
 
-All invariants reduce to coroot pairings of the attached weights against the
-positive roots not supported on ``I``: contraction against a Kahler class,
-the eigenvalue list of the associated endomorphism, volumes and degrees.
+All invariants are linear in the class through the integer pairings
+``P[beta][a] = <varpi_a, beta_coroot>`` of the Picard generators with the
+positive roots ``beta`` not supported on ``I``.  ``make_flag`` computes that
+table once per flag, with the Weyl row ``<rho, beta_coroot>`` (the coroot
+heights) and the anticanonical coefficients.  Contraction against a Kahler
+class, the eigenvalue list of the associated endomorphism, volumes and
+degrees all clear a class's denominators once, pair the integer vector with
+the table, and form one exact rational per result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotKahler
-from .root_system import (
-    PositiveRoot,
-    RootDatum,
-    Weight,
-    pairing,
-    root_as_weight,
-    weyl_vector,
-)
+from .root_system import PositiveRoot, RootDatum, _coroot_pairing_with_simple
 
 
 @dataclass(frozen=True)
@@ -38,12 +36,21 @@ class ParabolicFlag:
     ``phi_complement`` holds the positive roots with support meeting the
     complement, in the root datum's deterministic order.  Its length is the
     complex dimension.
+
+    ``pairing_table[b][i]`` is the integer ``<varpi_a, beta_coroot>`` for the
+    b-th root of ``phi_complement`` and the i-th Picard direction ``a``;
+    ``weyl_row[b]`` is ``<rho, beta_coroot>``, the height of the coroot; and
+    ``anticanonical`` holds the (positive) coefficients of the anticanonical
+    class over the Picard generators.
     """
 
     datum: RootDatum
     parabolic_set: frozenset[int]
     complement: tuple[int, ...]
     phi_complement: tuple[PositiveRoot, ...]
+    pairing_table: tuple[tuple[int, ...], ...]
+    weyl_row: tuple[int, ...]
+    anticanonical: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -59,11 +66,18 @@ class ParabolicFlag:
 
 
 def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
-    """Build the flag for a parabolic subset of 1-based simple-root indices."""
-    pset = frozenset(int(i) for i in parabolic)
-    for i in pset:
+    """Build the flag for a parabolic subset of 1-based simple-root indices.
+
+    Each index may appear once; the pairing table, Weyl row and
+    anticanonical coefficients are computed here, once per flag.
+    """
+    indices = [int(i) for i in parabolic]
+    pset = frozenset(indices)
+    for i in indices:
         if not 1 <= i <= datum.rank:
             raise IndexOutOfRange(f"simple-root index {i} outside 1..{datum.rank}")
+    if len(pset) != len(indices):
+        raise IndexOutOfRange(f"parabolic set {indices} repeats a simple-root index")
     complement = tuple(i for i in range(1, datum.rank + 1) if i not in pset)
     if not complement:
         raise IndexOutOfRange("parabolic set must be a proper subset of the simple roots")
@@ -72,7 +86,18 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
         for beta in datum.positive_roots
         if any(beta.root_coords[i - 1] for i in complement)
     )
-    return ParabolicFlag(datum, pset, complement, phi)
+    table = tuple(tuple(beta.coroot_coords[a - 1] for a in complement) for beta in phi)
+    weyl_row = tuple(sum(beta.coroot_coords) for beta in phi)
+    # the anticanonical weight is the sum of the roots in phi, paired with
+    # the simple coroots of the Picard directions
+    root_sum = [sum(col) for col in zip(*(beta.root_coords for beta in phi))]
+    anticanonical = tuple(
+        _coroot_pairing_with_simple(datum.cartan, root_sum, a - 1) for a in complement
+    )
+    for a, c in zip(complement, anticanonical):
+        if c <= 0:
+            raise AssertionError(f"anticanonical coefficient at alpha_{a} is {c}")
+    return ParabolicFlag(datum, pset, complement, phi, table, weyl_row, anticanonical)
 
 
 @dataclass(frozen=True)
@@ -148,33 +173,9 @@ def _check_class(flag: ParabolicFlag, c: InvariantClass) -> None:
         )
 
 
-def class_weight(flag: ParabolicFlag, c: InvariantClass) -> tuple[Weight, int]:
-    """Attach to a class its weight (coefficients over the full rank) and 2*pi power."""
-    _check_class(flag, c)
-    coeffs = [Fraction(0)] * flag.rank
-    for a, v in zip(flag.complement, c.coeffs):
-        coeffs[a - 1] = v
-    return Weight(tuple(coeffs)), c.two_pi_power
-
-
-def anticanonical_weight(flag: ParabolicFlag) -> Weight:
-    """Sum of the positive roots off the parabolic set, in the weight basis."""
-    total = Weight.zero(flag.rank)
-    for beta in flag.phi_complement:
-        total = total + root_as_weight(flag.datum, beta)
-    return total
-
-
 def anticanonical_coeffs(flag: ParabolicFlag) -> tuple[int, ...]:
     """Coefficients of the anticanonical class over the Picard generators."""
-    w = anticanonical_weight(flag)
-    out = []
-    for a in flag.complement:
-        c = w.coeffs[a - 1]
-        if c.denominator != 1 or c <= 0:
-            raise AssertionError(f"anticanonical coefficient at alpha_{a} is {c}")
-        out.append(int(c))
-    return tuple(out)
+    return flag.anticanonical
 
 
 def anticanonical_class(flag: ParabolicFlag) -> InvariantClass:
@@ -189,11 +190,7 @@ def ricci_class(flag: ParabolicFlag) -> InvariantClass:
 
 def fano_index(flag: ParabolicFlag) -> int:
     """GCD of the anticanonical coefficients."""
-    ell = anticanonical_coeffs(flag)
-    out = 0
-    for l in ell:
-        out = gcd(out, l)
-    return out
+    return gcd(*flag.anticanonical)
 
 
 def is_kahler(flag: ParabolicFlag, c: InvariantClass) -> bool:
@@ -207,6 +204,20 @@ def _require_kahler(flag: ParabolicFlag, omega: InvariantClass) -> None:
         raise NotKahler("reference class must have strictly positive coefficients")
 
 
+def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
+    """Integer pairings of a class with the table, and the denominator cleared.
+
+    Returns ``(p, d)`` with ``<c, beta_coroot> = p[b] / d`` for the b-th root
+    of ``phi_complement``: the coefficients are scaled by the least common
+    denominator ``d`` once, so the table is paired in integers only.  Zero
+    coefficients are skipped, which makes bundle classes cheap to pair.
+    """
+    _check_class(flag, c)
+    d = lcm(*(v.denominator for v in c.coeffs))
+    ints = [(i, v.numerator * (d // v.denominator)) for i, v in enumerate(c.coeffs) if v]
+    return [sum(row[i] * x for i, x in ints) for row in flag.pairing_table], d
+
+
 def lefschetz_contraction(
     flag: ParabolicFlag, omega0: InvariantClass, psi: InvariantClass
 ) -> tuple[Fraction, int]:
@@ -217,13 +228,12 @@ def lefschetz_contraction(
     to the complex dimension when ``psi == omega0``.
     """
     _require_kahler(flag, omega0)
-    _check_class(flag, psi)
-    w_omega, p_omega = class_weight(flag, omega0)
-    w_psi, p_psi = class_weight(flag, psi)
-    total = Fraction(0)
-    for beta in flag.phi_complement:
-        total += pairing(w_psi, beta) / pairing(w_omega, beta)
-    return total, p_psi - p_omega
+    p_omega, d_omega = _pairings(flag, omega0)
+    p_psi, d_psi = _pairings(flag, psi)
+    # sum of p_psi/p_omega over the common denominator of the p_omega
+    common = lcm(*p_omega)
+    total = sum(x * (common // w) for x, w in zip(p_psi, p_omega))
+    return Fraction(total * d_omega, common * d_psi), psi.two_pi_power - omega0.two_pi_power
 
 
 def endomorphism_eigenvalues(
@@ -235,12 +245,9 @@ def endomorphism_eigenvalues(
     ``psi.two_pi_power - omega0.two_pi_power``.
     """
     _require_kahler(flag, omega0)
-    _check_class(flag, psi)
-    w_omega, _ = class_weight(flag, omega0)
-    w_psi, _ = class_weight(flag, psi)
-    return tuple(
-        pairing(w_psi, beta) / pairing(w_omega, beta) for beta in flag.phi_complement
-    )
+    p_omega, d_omega = _pairings(flag, omega0)
+    p_psi, d_psi = _pairings(flag, psi)
+    return tuple(Fraction(x * d_omega, w * d_psi) for x, w in zip(p_psi, p_omega))
 
 
 def volume(flag: ParabolicFlag, omega: InvariantClass) -> tuple[Fraction, int]:
@@ -251,19 +258,32 @@ def volume(flag: ParabolicFlag, omega: InvariantClass) -> tuple[Fraction, int]:
     ``omega.two_pi_power * dim_c``.
     """
     _require_kahler(flag, omega)
-    w_omega, p_omega = class_weight(flag, omega)
-    rho = weyl_vector(flag.datum)
-    vol = Fraction(1)
-    for beta in flag.phi_complement:
-        vol *= pairing(w_omega, beta) / pairing(rho, beta)
-    return vol, p_omega * flag.dim_c
+    p_omega, d = _pairings(flag, omega)
+    n = flag.dim_c
+    return Fraction(prod(p_omega), d**n * prod(flag.weyl_row)), omega.two_pi_power * n
+
+
+def _degree_weights(flag: ParabolicFlag, omega: InvariantClass) -> tuple[list[int], int]:
+    """Integer weights ``W`` and denominator ``D`` for degrees against ``omega``.
+
+    The degree ``(n-1)! * contraction * volume`` of a class ``psi`` equals
+    ``sum_b <psi, beta_coroot> * W[b] / D``: ``W[b]`` is ``(n-1)!`` times the
+    product of the omega pairings over the other roots, ``D`` collects the
+    Weyl row and the cleared denominator of ``omega``.
+    """
+    _require_kahler(flag, omega)
+    p_omega, d = _pairings(flag, omega)
+    n = flag.dim_c
+    whole = factorial(n - 1) * prod(p_omega)
+    return [whole // w for w in p_omega], d ** (n - 1) * prod(flag.weyl_row)
 
 
 def degree(
     flag: ParabolicFlag, bundle_class: InvariantClass, omega: InvariantClass
 ) -> tuple[Fraction, int]:
     """Degree of a bundle class against a Kahler class: (n-1)! * contraction * volume."""
-    n = flag.dim_c
-    lam, p_lam = lefschetz_contraction(flag, omega, bundle_class)
-    vol, p_vol = volume(flag, omega)
-    return factorial(n - 1) * lam * vol, p_lam + p_vol
+    weights, denominator = _degree_weights(flag, omega)
+    p_bundle, d = _pairings(flag, bundle_class)
+    total = sum(x * w for x, w in zip(p_bundle, weights))
+    power = bundle_class.two_pi_power - omega.two_pi_power + omega.two_pi_power * flag.dim_c
+    return Fraction(total, d * denominator), power

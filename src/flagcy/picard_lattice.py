@@ -1,7 +1,8 @@
 """Degree-zero Picard lattice of a flag variety.
 
 Fixing an integral Kahler class, the degree of each Picard generator against
-it is an integer; dividing the vector of those integers by its GCD gives the
+it is an integer; all of them come from one pass over the flag's pairing
+table, and dividing the vector of those integers by its GCD gives the
 primitive pairing vector ``q``.  Picking a pivot generator produces the
 classical two-term degree-zero bundles
 
@@ -12,8 +13,10 @@ rationals.  Over the integers they span exactly the classes ``c`` with
 ``q . c = 0`` and ``q_gamma | c_alpha`` for every ``alpha != gamma``: a
 sublattice of index ``|q_gamma|^(rho-2)`` in the degree-zero lattice, where
 ``rho`` is the Picard rank.  So the xi are a Z-basis of the degree-zero
-lattice exactly when ``rho = 2`` or ``|q_gamma| = 1``;
-``integer_combination`` decides membership in their span.
+lattice exactly when ``rho = 2`` or ``|q_gamma| = 1``.
+``integer_combination`` decides membership in their span by that closed
+form: the coordinate on ``xi_alpha`` is ``c_alpha / q_gamma``, and the
+coordinates are certified by recombining them to the target exactly.
 """
 
 from __future__ import annotations
@@ -23,14 +26,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import DimensionMismatch, IndexOutOfRange, NotIntegral, PicardRankOne
+from .errors import DimensionMismatch, IndexOutOfRange, PicardRankOne
 from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
     _check_class,
+    _degree_weights,
     _require_kahler,
-    basis_class,
-    degree,
     lefschetz_contraction,
 )
 
@@ -75,21 +77,6 @@ def _integral_representative(flag: ParabolicFlag, omega0: InvariantClass) -> Inv
     return InvariantClass(0, tuple(c * scale for c in omega0.coeffs))
 
 
-def hodge_riemann_pairing(flag: ParabolicFlag, alpha: int, omega0: InvariantClass) -> int:
-    """Degree of the Picard generator ``alpha`` against an integral Kahler class.
-
-    The inputs must be integral (integer coefficients, 2*pi power 0); the
-    result is then an exact integer.
-    """
-    _require_kahler(flag, omega0)
-    if omega0.two_pi_power != 0 or any(c.denominator != 1 for c in omega0.coeffs):
-        raise NotIntegral("reference class must have integer coefficients at 2*pi power 0")
-    value, power = degree(flag, basis_class(flag, alpha), omega0)
-    if value.denominator != 1 or power != 0:
-        raise NotIntegral(f"pairing against alpha_{alpha} is {value} at power {power}")
-    return int(value)
-
-
 def primitive_basis(
     flag: ParabolicFlag, omega0: InvariantClass, gamma: int | None = None
 ) -> PrimitiveBasis:
@@ -107,11 +94,15 @@ def primitive_basis(
     if gamma not in flag.complement:
         raise IndexOutOfRange(f"pivot alpha_{gamma} is not a Picard direction of this flag")
 
-    integral = _integral_representative(flag, omega0)
-    pairings = [hodge_riemann_pairing(flag, a, integral) for a in flag.complement]
-    tau = 0
-    for p in pairings:
-        tau = gcd(tau, p)
+    # degrees of all Picard generators in one pass down the table's columns
+    weights, denominator = _degree_weights(flag, _integral_representative(flag, omega0))
+    pairings = []
+    for a, column in zip(flag.complement, zip(*flag.pairing_table)):
+        value = sum(p * w for p, w in zip(column, weights))
+        if value % denominator:
+            raise AssertionError(f"degree of alpha_{a} is {value}/{denominator}, not an integer")
+        pairings.append(value // denominator)
+    tau = gcd(*pairings)
     q = tuple(p // tau for p in pairings)
 
     idx = {a: i for i, a in enumerate(flag.complement)}
@@ -153,57 +144,30 @@ def orthogonal_decompose(
     return m, p
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve an overdetermined exact linear system, or None if inconsistent.
-
-    The columns must be linearly independent, which holds for the pivot basis
-    matrix: each generator has a nonzero entry in its own private row.
-    """
-    m, n = len(rows), len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        target = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if target is None:
-            raise AssertionError("basis columns are linearly dependent")
-        aug[col], aug[target] = aug[target], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    # every column is eliminated from the trailing rows; consistency is rhs == 0 there
-    for r in range(n, m):
-        if aug[r][n] != 0:
-            return None
-    return [aug[i][n] for i in range(n)]
-
-
 def integer_combination(
     basis: PrimitiveBasis, target: LineBundleClass | Sequence[int]
 ) -> tuple[int, ...] | None:
     """Integer coordinates of ``target`` over the basis, or None if there are none.
 
-    Solves the exact rational system first and then checks integrality, so a
-    rational-but-not-integral solution also reports None.  The result is
-    exact membership in the integer span of the two-term generators, which is
-    a proper sublattice of the degree-zero lattice when ``|q_gamma| > 1`` and
-    the Picard rank is at least three.
+    Every ``q`` entry is positive for a Kahler class, so each generator's own
+    slot is its single positive entry, holding ``q_gamma``: the coordinate on
+    ``xi_alpha`` is ``c_alpha / q_gamma``, and there is none unless
+    ``q_gamma`` divides ``c_alpha``.  The coordinates are returned only when
+    they recombine to the target exactly, which also enforces ``q . c = 0``.
+    The result is exact membership in the integer span of the two-term
+    generators, which is a proper sublattice of the degree-zero lattice when
+    ``|q_gamma| > 1`` and the Picard rank is at least three.
     """
     coeffs = target.coeffs if isinstance(target, LineBundleClass) else tuple(int(c) for c in target)
-    if not basis.basis:
-        return () if all(c == 0 for c in coeffs) else None
-    rho = len(basis.basis[0].coeffs)
-    if len(coeffs) != rho:
+    if len(coeffs) != len(basis.q):
         raise DimensionMismatch("target has the wrong number of coefficients")
-    rows = [
-        [Fraction(b.coeffs[i]) for b in basis.basis]
-        for i in range(rho)
-    ]
-    rhs = [Fraction(c) for c in coeffs]
-    solution = _solve_exact(rows, rhs)
-    if solution is None:
-        return None
-    if any(x.denominator != 1 for x in solution):
-        return None
-    return tuple(int(x) for x in solution)
+    x = []
+    for xi in basis.basis:
+        own, q_gamma = next((i, v) for i, v in enumerate(xi.coeffs) if v > 0)
+        if coeffs[own] % q_gamma:
+            return None
+        x.append(coeffs[own] // q_gamma)
+    combination = tuple(
+        sum(m * xi.coeffs[i] for m, xi in zip(x, basis.basis)) for i in range(len(coeffs))
+    )
+    return tuple(x) if combination == coeffs else None

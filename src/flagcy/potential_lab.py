@@ -18,12 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import pi
+from math import isfinite, pi
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IllConditioned, IndexOutOfRange, NotKahler, UnsupportedType
+from .errors import (
+    DimensionMismatch,
+    IllConditioned,
+    IndexOutOfRange,
+    InvalidParameter,
+    NotKahler,
+    UnsupportedType,
+)
 from .flag_geometry import ParabolicFlag, class_from_coeffs, endomorphism_eigenvalues
 
 #: coordinates of a big-cell point, one complex number per off-parabolic
@@ -38,6 +45,13 @@ def _require_type_a(flag: ParabolicFlag) -> None:
         raise UnsupportedType(
             f"big-cell potentials are implemented for type A only, got {flag.datum.lie_type}"
         )
+
+
+def _finite_positive(name: str, value) -> float:
+    value = float(value)
+    if not (isfinite(value) and value > 0):
+        raise InvalidParameter(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def _matrix_positions(flag: ParabolicFlag) -> list[tuple[int, int]]:
@@ -112,13 +126,11 @@ def numeric_form_at_origin(
     Wirtinger assembly: a quarter of the real Laplacian per coordinate on the
     diagonal, the standard four-point cross stencils off the diagonal.  Every
     entry is computed independently; ``symmetrize`` averages with the
-    conjugate transpose afterwards.
+    conjugate transpose afterwards.  ``step`` must be finite and positive.
     """
     _require_type_a(flag)
-    if step <= 0:
-        raise ValueError("step must be positive")
+    h = _finite_positive("step", step)
     n = flag.dim_c
-    h = float(step)
 
     def phi(displacements: dict[int, complex]) -> float:
         point = [0j] * n
@@ -174,9 +186,12 @@ def check_eigenvalue_formula(
 
     Builds both Hessians at the origin, solves the generalized eigenproblem of
     the psi Hessian against the metric Hessian, and reports the maximal
-    absolute deviation from the exact pairing-ratio spectrum.
+    absolute deviation from the exact pairing-ratio spectrum.  The step and
+    the tolerance must be finite and positive.
     """
     _require_type_a(flag)
+    step = _finite_positive("step", step)
+    tol = _finite_positive("tol", tol)
     omega = class_from_coeffs(flag, [Fraction(c) for c in omega_coefficients])
     psi = class_from_coeffs(flag, [Fraction(c) for c in psi_coefficients])
     if any(c <= 0 for c in omega.coeffs):
@@ -198,7 +213,7 @@ def check_eigenvalue_formula(
         exact=exact,
         numeric=numeric,
         max_deviation=max_dev,
-        step=float(step),
-        tol=float(tol),
+        step=step,
+        tol=tol,
         passed=max_dev < tol,
     )

@@ -1,15 +1,18 @@
 """Exact root systems of the simple complex Lie algebras.
 
-Everything here is arbitrary-precision rational arithmetic: root and coroot
-coordinates are stored exactly, and the single primitive consumed by all
-higher layers is the pairing of a weight against a coroot.
+Root and coroot coordinates are exact integers.  The coroot coordinates are
+what every higher layer consumes: in the fundamental-weight basis the
+pairing ``<w, beta_coroot>`` is the dot product of ``w`` with the coroot
+coordinates of ``beta``, so ``make_flag`` reads the integer pairing table of
+a flag straight off this datum.
 
 Conventions:
 
 * Cartan matrix ``C[i][j] = <alpha_i, alpha_j_coroot>`` (columns normalized
   by the length of ``alpha_j``), Bourbaki node numbering.
 * Weights live in the fundamental-weight basis, so ``<w, alpha_j_coroot>``
-  is simply the j-th coordinate of ``w``.
+  is simply the j-th coordinate of ``w``; coroot coordinates are integral on
+  every type.
 * Root lengths are normalized so short roots have half square length 1
   (B/C/F: long = 2, G2: long = 3); only ratios ever matter downstream.
 """
@@ -17,11 +20,9 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
-from .errors import DimensionMismatch, InvalidRank
+from .errors import InvalidRank
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -132,39 +133,11 @@ class PositiveRoot:
     """
 
     root_coords: tuple[int, ...]
-    coroot_coords: tuple[Fraction, ...]
+    coroot_coords: tuple[int, ...]
 
     @property
     def height(self) -> int:
         return sum(self.root_coords)
-
-
-@dataclass(frozen=True)
-class Weight:
-    """Exact rational vector in the fundamental-weight basis."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @classmethod
-    def zero(cls, rank: int) -> "Weight":
-        return cls((Fraction(0),) * rank)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        if len(self.coeffs) != len(other.coeffs):
-            raise DimensionMismatch("weights have different ranks")
-        return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        if len(self.coeffs) != len(other.coeffs):
-            raise DimensionMismatch("weights have different ranks")
-        return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rmul__(self, scalar) -> "Weight":
-        s = Fraction(scalar)
-        return Weight(tuple(s * c for c in self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -230,10 +203,12 @@ def build_root_datum(lie_type: LieType) -> RootDatum:
         num = sum(
             coords[i] * coords[j] * C[i][j] * d[j] for i in range(n) for j in range(n)
         )
-        half_len = Fraction(num, 2)
-        if half_len.denominator != 1 or half_len <= 0:
-            raise AssertionError(f"bad half square length {half_len} for {coords}")
-        coroot = tuple(Fraction(coords[j] * d[j], int(half_len)) for j in range(n))
+        if num % 2 or num <= 0:
+            raise AssertionError(f"bad half square length {num}/2 for {coords}")
+        half_len = num // 2
+        if any(coords[j] * d[j] % half_len for j in range(n)):
+            raise AssertionError(f"coroot of {coords} is not integral")
+        coroot = tuple(coords[j] * d[j] // half_len for j in range(n))
         roots.append(PositiveRoot(coords, coroot))
 
     if len(roots) != positive_root_count(lie_type):
@@ -242,32 +217,3 @@ def build_root_datum(lie_type: LieType) -> RootDatum:
             f"expected {positive_root_count(lie_type)}"
         )
     return RootDatum(lie_type, C, d, tuple(roots))
-
-
-def pairing(w: Weight, beta: PositiveRoot) -> Fraction:
-    """Exact pairing ``<w, beta_coroot>``, linear in the weight."""
-    if len(w.coeffs) != len(beta.coroot_coords):
-        raise DimensionMismatch(
-            f"weight has rank {len(w.coeffs)}, root has rank {len(beta.coroot_coords)}"
-        )
-    return sum((c * q for c, q in zip(w.coeffs, beta.coroot_coords)), Fraction(0))
-
-
-def weyl_vector(datum: RootDatum) -> Weight:
-    """Half the sum of the positive roots: all fundamental-weight coefficients 1."""
-    return Weight((Fraction(1),) * datum.rank)
-
-
-def root_as_weight(datum: RootDatum, beta: PositiveRoot) -> Weight:
-    """Rewrite a root in the fundamental-weight basis via the Cartan matrix."""
-    return Weight(
-        tuple(
-            Fraction(_coroot_pairing_with_simple(datum.cartan, beta.root_coords, i))
-            for i in range(datum.rank)
-        )
-    )
-
-
-def weight_from(coeffs: Iterable) -> Weight:
-    """Build a weight from any iterable of rationals."""
-    return Weight(tuple(Fraction(c) for c in coeffs))

@@ -13,7 +13,7 @@ from math import gcd, lcm
 from flagcy import (
     LineBundleClass,
     anticanonical_class,
-    anticanonical_weight,
+    anticanonical_coeffs,
     basis_class,
     build_balanced,
     build_t_gauduchon,
@@ -29,7 +29,6 @@ from flagcy import (
     verify_coclosed,
     verify_ricci_flat,
     volume,
-    weight_from,
 )
 from conftest import flag_of, grid_flags
 
@@ -64,8 +63,8 @@ def test_criterion_1_rank_two_full_flag_fixture():
     theta = anticanonical_class(flag)
     if fano_index(flag) != 2:
         failures.append(("fano_index", fano_index(flag)))
-    if anticanonical_weight(flag) != weight_from([2, 2]):
-        failures.append(("anticanonical_weight", anticanonical_weight(flag)))
+    if anticanonical_coeffs(flag) != (2, 2):
+        failures.append(("anticanonical_coeffs", anticanonical_coeffs(flag)))
     for alpha in (1, 2):
         value = lefschetz_contraction(flag, theta, basis_class(flag, alpha))
         if value != (F(3, 4), 0):

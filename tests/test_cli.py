@@ -166,6 +166,25 @@ def test_verify_numeric_type_b_exits_3(capsys):
     assert report["error"]["type"] == "UnsupportedType"
 
 
+def test_verify_numeric_rejects_bad_step_and_tol(capsys):
+    def no_bare_constants(token):
+        raise AssertionError(f"report is not strict JSON: bare {token}")
+
+    for option in ("--step=-1", "--step=nan", "--step=inf", "--tol=nan"):
+        code, out = run(capsys, "verify-numeric", "A", "3", option, "--psi=-1,1,0", "--format", "json")
+        report = json.loads(out, parse_constant=no_bare_constants)
+        assert code == 2, option
+        assert report["status"] == "error"
+        assert report["error"]["type"] == "InvalidParameter"
+
+
+def test_repeated_parabolic_index_exits_2(capsys):
+    code, report = run_json(capsys, "describe", "A", "3", "--parabolic", "1,1")
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["type"] == "IndexOutOfRange"
+
+
 def test_parse_errors_exit_1(capsys):
     assert main(["describe", "A", "x"]) == 1
     assert main(["describe", "Z", "2"]) == 1

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -12,11 +13,9 @@ from flagcy import (
     NotKahler,
     anticanonical_class,
     anticanonical_coeffs,
-    anticanonical_weight,
     basis_class,
     build_root_datum,
     class_from_coeffs,
-    class_weight,
     degree,
     endomorphism_eigenvalues,
     fano_index,
@@ -24,10 +23,7 @@ from flagcy import (
     lefschetz_contraction,
     make_flag,
     ricci_class,
-    root_as_weight,
     volume,
-    weight_from,
-    weyl_vector,
     zero_class,
 )
 from conftest import flag_of
@@ -43,6 +39,26 @@ def small_flags(max_rank=5):
             for size in range(rank):
                 for parabolic in combinations(range(1, rank + 1), size):
                     yield make_flag(datum, parabolic)
+
+
+def reference_pairings(flag, c):
+    """<c, beta_coroot> for each root of phi_complement, as Fractions.
+
+    The class becomes a full-rank weight with zero coefficients on the
+    parabolic slots and is paired with every coroot coordinate directly,
+    without the flag's pairing table.
+    """
+    weight = [F(0)] * flag.rank
+    for a, v in zip(flag.complement, c.coeffs):
+        weight[a - 1] = v
+    return [
+        sum((w * q for w, q in zip(weight, beta.coroot_coords)), F(0))
+        for beta in flag.phi_complement
+    ]
+
+
+def table_pairings(flag, coeffs):
+    return [sum(p * c for p, c in zip(row, coeffs)) for row in flag.pairing_table]
 
 
 def test_make_flag_full_a2():
@@ -71,47 +87,56 @@ def test_make_flag_rejects_bad_indices():
         make_flag(datum, [0])
     with pytest.raises(IndexOutOfRange):
         make_flag(datum, [1, 2])  # parabolic set must stay proper
+    with pytest.raises(IndexOutOfRange):
+        make_flag(datum, [1, 1])  # each index at most once
 
 
 def test_class_weight_basis_and_zero():
     flag = flag_of("A", 2)
-    w, power = class_weight(flag, basis_class(flag, 1))
-    assert w == weight_from([1, 0])
-    assert power == 0
-    w, power = class_weight(flag, zero_class(flag))
-    assert w == weight_from([0, 0])
+    # the basis class is the fundamental weight (1, 0): it pairs with each
+    # root through the first coroot coordinate
+    e1 = basis_class(flag, 1)
+    assert table_pairings(flag, e1.coeffs) == [b.coroot_coords[0] for b in flag.phi_complement]
+    assert table_pairings(flag, e1.coeffs) == [1, 0, 1]
+    assert e1.two_pi_power == 0
+    assert table_pairings(flag, zero_class(flag).coeffs) == [0, 0, 0]
 
 
 def test_class_weight_anticanonical():
     flag = flag_of("A", 2)
-    w, power = class_weight(flag, anticanonical_class(flag))
-    assert w == weight_from([2, 2])
-    w, power = class_weight(flag, ricci_class(flag))
-    assert (w, power) == (weight_from([2, 2]), 1)
+    # the anticanonical class is the weight (2, 2): twice the Weyl row
+    theta = anticanonical_class(flag)
+    assert table_pairings(flag, theta.coeffs) == [2 * h for h in flag.weyl_row] == [2, 2, 4]
+    rho = ricci_class(flag)
+    assert (rho.coeffs, rho.two_pi_power) == (theta.coeffs, 1)
 
 
 def test_class_weight_fills_parabolic_slots_with_zero():
     flag = flag_of("A", 3, [2])
-    w, _ = class_weight(flag, class_from_coeffs(flag, [5, 7]))
-    assert w == weight_from([5, 0, 7])
+    c = class_from_coeffs(flag, [5, 7])
+    weight = (5, 0, 7)
+    expected = [sum(w * q for w, q in zip(weight, b.coroot_coords)) for b in flag.phi_complement]
+    assert table_pairings(flag, c.coeffs) == expected == reference_pairings(flag, c)
 
 
 def test_anticanonical_weight_full_flags_is_twice_weyl():
     for family, rank in [("A", 2), ("A", 3), ("B", 3), ("G", 2)]:
         flag = flag_of(family, rank)
-        assert anticanonical_weight(flag) == 2 * weyl_vector(flag.datum)
+        assert anticanonical_coeffs(flag) == (2,) * rank
+        assert table_pairings(flag, anticanonical_coeffs(flag)) == [2 * h for h in flag.weyl_row]
 
 
 def test_anticanonical_weight_oracle_sum_of_off_parabolic_roots():
     flag = flag_of("A", 3, [2])
-    # the five roots meeting {alpha_1, alpha_3}, summed by hand
-    expected = weight_from([0, 0, 0])
+    cartan = flag.datum.cartan
+    # the five roots meeting {alpha_1, alpha_3}, summed by hand and written
+    # in the fundamental-weight basis through the Cartan integers
+    expected = [0, 0, 0]
     for coords in [(1, 0, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]:
-        beta = next(b for b in flag.datum.positive_roots if b.root_coords == coords)
-        expected = expected + root_as_weight(flag.datum, beta)
-    assert anticanonical_weight(flag) == expected
-    assert expected == weight_from([3, 0, 3])
-    assert anticanonical_coeffs(flag) == (3, 3)
+        for i in range(3):
+            expected[i] += sum(m * cartan[j][i] for j, m in enumerate(coords))
+    assert expected == [3, 0, 3]  # zero on the parabolic slot
+    assert anticanonical_coeffs(flag) == (expected[0], expected[2]) == (3, 3)
 
 
 def test_fano_index_values():
@@ -266,3 +291,30 @@ def test_invariant_class_arithmetic_guards():
         anticanonical_class(flag) + ricci_class(flag)
     with pytest.raises(DimensionMismatch):
         lefschetz_contraction(flag, anticanonical_class(flag), InvariantClass(0, (F(1),)))
+
+
+def test_table_invariants_match_fraction_reference():
+    rng = random.Random(73)
+    big = [flag_of("B", 12), flag_of("E", 8), flag_of("F", 4), flag_of("G", 2)]
+    for flag in [*small_flags(), *big]:
+        rho, n = flag.picard_rank, flag.dim_c
+        # a different denominator on every coefficient
+        omega = InvariantClass(
+            rng.randint(-1, 1), tuple(F(rng.randint(1, 9), i + 2) for i in range(rho))
+        )
+        psi = InvariantClass(
+            rng.randint(-1, 1), tuple(F(rng.randint(-9, 9), 2 * i + 3) for i in range(rho))
+        )
+        w, p = reference_pairings(flag, omega), reference_pairings(flag, psi)
+        heights = tuple(sum(b.coroot_coords) for b in flag.phi_complement)
+        eig = tuple(x / y for x, y in zip(p, w))
+        lam = sum(eig, F(0))
+        vol = prod(y / h for y, h in zip(w, heights))
+        power = psi.two_pi_power - omega.two_pi_power
+        assert flag.weyl_row == heights
+        assert endomorphism_eigenvalues(flag, omega, psi) == eig
+        assert lefschetz_contraction(flag, omega, psi) == (lam, power)
+        assert volume(flag, omega) == (vol, omega.two_pi_power * n)
+        assert degree(flag, psi, omega) == (
+            factorial(n - 1) * lam * vol, power + omega.two_pi_power * n
+        )

@@ -6,14 +6,12 @@ import pytest
 
 from flagcy import (
     LineBundleClass,
-    NotIntegral,
     NotKahler,
     PicardRankOne,
     anticanonical_class,
     basis_class,
     class_from_coeffs,
     degree,
-    hodge_riemann_pairing,
     integer_combination,
     is_primitive,
     lefschetz_contraction,
@@ -27,22 +25,17 @@ F = Fraction
 
 
 def test_hodge_riemann_pairing_frozen_values():
+    # degrees of the Picard generators against an integral class are tau * q
     flag = flag_of("A", 2)
     theta = anticanonical_class(flag)
-    assert hodge_riemann_pairing(flag, 1, theta) == 12
-    assert hodge_riemann_pairing(flag, 2, theta) == 12
-    line = flag_of("A", 1)
-    assert hodge_riemann_pairing(line, 1, anticanonical_class(line)) == 1
-
-
-def test_hodge_riemann_pairing_rejects_non_integral():
-    flag = flag_of("A", 2)
-    with pytest.raises(NotIntegral):
-        hodge_riemann_pairing(flag, 1, class_from_coeffs(flag, [F(1, 2), 2]))
-    with pytest.raises(NotIntegral):
-        hodge_riemann_pairing(flag, 1, ricci_class(flag))  # carries a 2*pi power
+    pb = primitive_basis(flag, theta)
+    assert [pb.tau * q for q in pb.q] == [12, 12]
+    # the 2*pi power of the reference class does not enter the integral degrees
+    assert primitive_basis(flag, ricci_class(flag)) == pb
     with pytest.raises(NotKahler):
-        hodge_riemann_pairing(flag, 1, class_from_coeffs(flag, [0, 1]))
+        primitive_basis(flag, class_from_coeffs(flag, [0, 1]))
+    line = flag_of("A", 1)
+    assert degree(line, basis_class(line, 1), anticanonical_class(line)) == (F(1), 0)
 
 
 def test_primitive_basis_a2():

@@ -10,6 +10,7 @@ from flagcy import (
     DimensionMismatch,
     IllConditioned,
     IndexOutOfRange,
+    InvalidParameter,
     NotKahler,
     UnsupportedType,
     check_eigenvalue_formula,
@@ -175,5 +176,10 @@ def test_singular_metric_hessian_detected(monkeypatch):
 
 def test_step_validation():
     flag = flag_of("A", 2)
-    with pytest.raises(ValueError):
-        numeric_form_at_origin(flag, [2, 2], step=0.0)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameter):
+            numeric_form_at_origin(flag, [2, 2], step=bad)
+        with pytest.raises(InvalidParameter):
+            check_eigenvalue_formula(flag, [2, 2], [1, 0], step=bad)
+        with pytest.raises(InvalidParameter):
+            check_eigenvalue_formula(flag, [2, 2], [1, 0], tol=bad)

@@ -1,20 +1,14 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from flagcy import (
     InvalidRank,
-    DimensionMismatch,
     LieType,
-    Weight,
     build_root_datum,
     cartan_matrix,
-    pairing,
+    make_flag,
     positive_root_count,
-    root_as_weight,
-    weight_from,
-    weyl_vector,
 )
 
 ALL_TYPES = (
@@ -92,7 +86,13 @@ def test_enumeration_matches_reflection_oracle(family, rank):
 def test_every_root_pairs_to_two_with_its_coroot(family, rank):
     datum = build_root_datum(LieType(family, rank))
     for beta in datum.positive_roots:
-        assert pairing(root_as_weight(datum, beta), beta) == 2
+        assert all(type(c) is int for c in beta.coroot_coords)
+        # beta in the fundamental-weight basis, from the Cartan integers
+        weight = [
+            sum(m * datum.cartan[j][i] for j, m in enumerate(beta.root_coords))
+            for i in range(rank)
+        ]
+        assert sum(w * c for w, c in zip(weight, beta.coroot_coords)) == 2
 
 
 @pytest.mark.parametrize("family,rank", [("A", 4), ("D", 4), ("E", 6)])
@@ -115,49 +115,41 @@ def test_cartan_matrices_are_finite_type():
 
 def test_pairing_a2_highest_root():
     datum = build_root_datum(LieType("A", 2))
-    w = weight_from([2, 2])
     highest = datum.positive_roots[-1]
     assert highest.root_coords == (1, 1)
-    assert pairing(w, highest) == 4
+    # the class (2, 2) pairs with the highest coroot through the last table row
+    row = make_flag(datum).pairing_table[-1]
+    assert sum(c * p for c, p in zip((2, 2), row)) == 4
 
 
 def test_fundamental_weights_dual_to_simple_coroots():
     for family, rank in [("A", 3), ("B", 3), ("G", 2), ("F", 4)]:
         datum = build_root_datum(LieType(family, rank))
-        simple = {r.root_coords: r for r in datum.positive_roots if r.height == 1}
+        flag = make_flag(datum)
+        # row of the simple root alpha_i: <varpi_j, alpha_i_coroot> for every j
+        simple = {
+            beta.root_coords: row
+            for beta, row in zip(flag.phi_complement, flag.pairing_table)
+            if beta.height == 1
+        }
         for i in range(rank):
             e_i = tuple(1 if j == i else 0 for j in range(rank))
-            w = weight_from([1 if j == i else 0 for j in range(rank)])
-            assert pairing(w, simple[e_i]) == 1
+            assert simple[e_i] == e_i
 
 
 def test_weyl_vector_pairings_are_coroot_heights():
-    datum = build_root_datum(LieType("A", 3))
-    rho = weyl_vector(datum)
-    values = [pairing(rho, beta) for beta in datum.positive_roots]
-    assert values == [1, 1, 1, 2, 2, 3]
+    flag = make_flag(build_root_datum(LieType("A", 3)))
+    assert flag.weyl_row == (1, 1, 1, 2, 2, 3)
     # oracle: the pairing against the all-ones weight is the coroot coordinate sum
-    for beta in datum.positive_roots:
-        assert pairing(rho, beta) == sum(beta.coroot_coords)
+    for beta, value in zip(flag.phi_complement, flag.weyl_row):
+        assert value == sum(beta.coroot_coords)
 
 
 def test_weyl_vector_b2():
-    datum = build_root_datum(LieType("B", 2))
-    rho = weyl_vector(datum)
-    assert rho.coeffs == (1, 1)
-    assert sorted(pairing(rho, beta) for beta in datum.positive_roots) == [1, 1, 2, 3]
-
-
-def test_pairing_is_bilinear_in_the_weight():
-    rng = random.Random(91)
-    datum = build_root_datum(LieType("C", 3))
-    for _ in range(50):
-        a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        u = weight_from([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)])
-        v = weight_from([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)])
-        beta = rng.choice(datum.positive_roots)
-        assert pairing(a * u + b * v, beta) == a * pairing(u, beta) + b * pairing(v, beta)
+    flag = make_flag(build_root_datum(LieType("B", 2)))
+    # rho has every fundamental-weight coefficient 1, so its row pairs (1, 1) with the table
+    assert flag.weyl_row == tuple(sum(row) for row in flag.pairing_table)
+    assert sorted(flag.weyl_row) == [1, 1, 2, 3]
 
 
 def test_ordering_is_graded_then_by_leading_support():
@@ -175,16 +167,3 @@ def test_ordering_is_graded_then_by_leading_support():
 def test_invalid_ranks_rejected(family, rank):
     with pytest.raises(InvalidRank):
         LieType(family, rank)
-
-
-def test_pairing_rejects_mismatched_rank():
-    a2 = build_root_datum(LieType("A", 2))
-    w3 = weight_from([1, 1, 1])
-    with pytest.raises(DimensionMismatch):
-        pairing(w3, a2.positive_roots[0])
-
-
-def test_weight_arithmetic():
-    w = weight_from([1, 2]) + weight_from([Fraction(1, 2), -1])
-    assert w == Weight((Fraction(3, 2), Fraction(1)))
-    assert Fraction(2) * w == Weight((Fraction(3), Fraction(2)))
