@@ -27,10 +27,10 @@ from .errors import FlagcyError, UnsupportedType
 from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
+    _degrees,
     anticanonical_class,
     anticanonical_coeffs,
     class_from_coeffs,
-    degree,
     fano_index,
     make_flag,
 )
@@ -144,10 +144,8 @@ def _cmd_primitive_basis(args) -> dict:
     flag = _build_flag(args)
     omega0 = _omega0_from_arg(flag, args.omega0)
     pb = primitive_basis(flag, omega0, args.gamma)
-    degrees = []
-    for xi in pb.basis:
-        value, power = degree(flag, xi.to_class(), omega0)
-        degrees.append({"value": _frac(value), "two_pi_power": power})
+    classes = [xi.to_class() for xi in pb.basis]
+    degrees = [{"value": _frac(v), "two_pi_power": p} for v, p in _degrees(flag, classes, omega0)]
     return {
         "pivot": _alpha_key(pb.pivot_gamma),
         "tau": pb.tau,

@@ -58,4 +58,4 @@ class UnsupportedType(FlagcyError):
 
 
 class IllConditioned(FlagcyError):
-    """A numeric linear system is too close to singular to trust."""
+    """A numeric linear system is too close to singular, or leaves the float range."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, NotKahler
 from .root_system import PositiveRoot, RootDatum, _coroot_pairing_with_simple
@@ -278,12 +278,20 @@ def _degree_weights(flag: ParabolicFlag, omega: InvariantClass) -> tuple[list[in
     return [whole // w for w in p_omega], d ** (n - 1) * prod(flag.weyl_row)
 
 
+def _degrees(
+    flag: ParabolicFlag, classes: Iterable[InvariantClass], omega: InvariantClass
+) -> Iterator[tuple[Fraction, int]]:
+    """Degrees of bundle classes against one Kahler class, with the weights built once."""
+    weights, denominator = _degree_weights(flag, omega)
+    for c in classes:
+        p_bundle, d = _pairings(flag, c)
+        total = sum(x * w for x, w in zip(p_bundle, weights))
+        power = c.two_pi_power - omega.two_pi_power + omega.two_pi_power * flag.dim_c
+        yield Fraction(total, d * denominator), power
+
+
 def degree(
     flag: ParabolicFlag, bundle_class: InvariantClass, omega: InvariantClass
 ) -> tuple[Fraction, int]:
     """Degree of a bundle class against a Kahler class: (n-1)! * contraction * volume."""
-    weights, denominator = _degree_weights(flag, omega)
-    p_bundle, d = _pairings(flag, bundle_class)
-    total = sum(x * w for x, w in zip(p_bundle, weights))
-    power = bundle_class.two_pi_power - omega.two_pi_power + omega.two_pi_power * flag.dim_c
-    return Fraction(total, d * denominator), power
+    return next(_degrees(flag, [bundle_class], omega))

@@ -7,7 +7,11 @@ the highest-weight vector of the k-th fundamental representation pulls back
 to the sum of squared absolute values of the k x k minors of the first k
 columns.  Potentials are (1/2*pi) log of those norms, weighted by the class
 coefficients, so their complex Hessians at the origin can be compared by
-finite differences against the exact pairing-ratio eigenvalues.
+finite differences against the exact pairing-ratio eigenvalues.  A point
+lists its coordinates in the order of ``phi_complement``.  The chart, the
+norms and the potentials take one point or a stack of shape (..., dim_c); a
+Hessian evaluates the potential once, on the stack of all its distinct
+stencil points, and is Hermitian by construction.
 
 Other families raise UnsupportedType: their fundamental representations have
 no minor realization here, and the exact engine already covers them.
@@ -18,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import isfinite, pi
+from math import inf, isfinite, nan, pi
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import (
     DimensionMismatch,
@@ -32,10 +37,6 @@ from .errors import (
     UnsupportedType,
 )
 from .flag_geometry import ParabolicFlag, class_from_coeffs, endomorphism_eigenvalues
-
-#: coordinates of a big-cell point, one complex number per off-parabolic
-#: positive root, in the root datum's deterministic order
-BigCellPoint = Sequence[complex]
 
 _COND_LIMIT = 1e12
 
@@ -54,112 +55,102 @@ def _finite_positive(name: str, value) -> float:
     return value
 
 
-def _matrix_positions(flag: ParabolicFlag) -> list[tuple[int, int]]:
-    # root alpha_i + ... + alpha_{j-1} sits at matrix entry (row j, col i), 0-based
-    positions = []
-    for beta in flag.phi_complement:
-        support = [i for i, m in enumerate(beta.root_coords) if m]
-        positions.append((support[-1] + 1, support[0]))
-    return positions
-
-
-def unipotent_matrix(flag: ParabolicFlag, point: BigCellPoint) -> np.ndarray:
-    """Big-cell chart: identity plus one coordinate per off-parabolic root."""
+def unipotent_matrix(flag: ParabolicFlag, point: ArrayLike) -> np.ndarray:
+    """Big-cell chart: identity plus one coordinate per off-parabolic root, per point."""
     _require_type_a(flag)
-    if len(point) != flag.dim_c:
+    points = np.asarray(point, dtype=complex)
+    if points.ndim == 0 or points.shape[-1] != flag.dim_c:
         raise DimensionMismatch(
-            f"point has {len(point)} coordinates, the cell has dimension {flag.dim_c}"
+            f"points have shape {points.shape}, the cell has dimension {flag.dim_c}"
         )
-    m = flag.rank + 1
-    out = np.eye(m, dtype=complex)
-    for (row, col), z in zip(_matrix_positions(flag), point):
-        out[row, col] = complex(z)
+    # root alpha_i + ... + alpha_{j-1} sits at matrix entry (row j, col i), 0-based
+    cols = [beta.root_coords.index(1) for beta in flag.phi_complement]
+    rows = [i + beta.height for i, beta in zip(cols, flag.phi_complement)]
+    out = np.tile(np.eye(flag.rank + 1, dtype=complex), points.shape[:-1] + (1, 1))
+    out[..., rows, cols] = points
     return out
 
 
-def norm_sq_fundamental(flag: ParabolicFlag, point: BigCellPoint, alpha: int) -> float:
-    """Squared norm of the alpha-th fundamental highest-weight vector at a cell point.
+def norm_sq_fundamental(flag: ParabolicFlag, point: ArrayLike, alpha: int):
+    """Squared norm of the alpha-th fundamental highest-weight vector at cell points.
 
     Equals the sum of squared absolute values of the alpha x alpha minors of
     the first alpha columns of the chart matrix; it is 1 at the origin and
-    >= 1 everywhere.
+    >= 1 everywhere.  A float for one point, an array for a stack of points.
     """
     _require_type_a(flag)
     if alpha not in flag.complement:
         raise IndexOutOfRange(f"alpha_{alpha} is not a Picard direction of this flag")
     mat = unipotent_matrix(flag, point)
-    cols = mat[:, :alpha]
     total = 0.0
-    for rows in combinations(range(mat.shape[0]), alpha):
-        minor = np.linalg.det(cols[list(rows), :])
-        total += abs(minor) ** 2
-    return float(total)
+    # one batched determinant per row choice, over the whole stack
+    for rows in combinations(range(flag.rank + 1), alpha):
+        total = total + np.abs(np.linalg.det(mat[..., list(rows), :alpha])) ** 2
+    return float(total) if mat.ndim == 2 else total
 
 
-def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: BigCellPoint) -> float:
+def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: ArrayLike):
     """Invariant potential: coefficient-weighted (1/2*pi) log of the fundamental norms.
 
     Positive coefficients give Kahler potentials; arbitrary rational vectors
     are admitted so that differences of potentials can represent any class.
+    Coefficients must be finite as floats.  A float for one point, an array
+    for a stack of points.
     """
     _require_type_a(flag)
     if len(coefficients) != flag.picard_rank:
         raise DimensionMismatch(
             f"expected {flag.picard_rank} coefficients, got {len(coefficients)}"
         )
-    total = 0.0
-    for alpha, c in zip(flag.complement, coefficients):
-        c = float(c)
+    try:
+        values = [float(c) for c in coefficients]
+    except OverflowError:
+        values = [inf]
+    if not all(map(isfinite, values)):
+        raise InvalidParameter("potential coefficients must be finite as floats")
+    total = np.zeros(np.shape(point)[:-1])
+    for alpha, c in zip(flag.complement, values):
         if c != 0.0:
-            total += c / (2.0 * pi) * np.log(norm_sq_fundamental(flag, point, alpha))
-    return total
+            total = total + c / (2.0 * pi) * np.log(norm_sq_fundamental(flag, point, alpha))
+    return float(total) if total.ndim == 0 else total
 
 
 def numeric_form_at_origin(
-    flag: ParabolicFlag,
-    coefficients: Sequence,
-    step: float = 1e-4,
-    symmetrize: bool = True,
+    flag: ParabolicFlag, coefficients: Sequence, step: float = 1e-4
 ) -> np.ndarray:
     """Complex Hessian of the potential at the origin by central differences.
 
     Wirtinger assembly: a quarter of the real Laplacian per coordinate on the
-    diagonal, the standard four-point cross stencils off the diagonal.  Every
-    entry is computed independently; ``symmetrize`` averages with the
-    conjugate transpose afterwards.  ``step`` must be finite and positive.
+    diagonal, the standard four-point cross stencils above it.  The 4n
+    diagonal and 8n(n-1) cross stencil points are stacked and the potential
+    is evaluated on all of them in one call.  Each entry below the diagonal
+    is the conjugate of the one above, so the result is Hermitian by
+    construction.  ``step`` must be finite and positive.
     """
     _require_type_a(flag)
     h = _finite_positive("step", step)
     n = flag.dim_c
+    steps = h * np.array([1, -1, 1j, -1j])
+    # coordinate j displaced by each step; coordinates j < k by each pair of steps
+    diag = np.zeros((n, 4, n), dtype=complex)
+    diag[range(n), :, range(n)] = steps
+    j, k = np.triu_indices(n, 1)
+    points = np.concatenate([diag, (diag[j, :, None] + diag[k, None, :]).reshape(-1, 4, n)])
+    phi = kahler_potential(flag, coefficients, points.reshape(-1, n))
+    phi_diag, phi_cross = phi[: 4 * n].reshape(n, 4), phi[4 * n :].reshape(-1, 4, 4)
 
-    def phi(displacements: dict[int, complex]) -> float:
-        point = [0j] * n
-        for idx, dz in displacements.items():
-            point[idx] = dz
-        return kahler_potential(flag, coefficients, point)
-
-    def second(j: int, dj: complex, k: int, dk: complex) -> float:
-        # mixed second derivative along two real directions, 4-point cross
-        pp = phi({j: dj, k: dk})
-        pm = phi({j: dj, k: -dk})
-        mp = phi({j: -dj, k: dk})
-        mm = phi({j: -dj, k: -dk})
-        return (pp - pm - mp + mm) / (4.0 * h * h)
-
-    H = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        # quarter Laplacian; the potential vanishes at the origin
-        dxx = (phi({j: h}) + phi({j: -h})) / (h * h)
-        dyy = (phi({j: 1j * h}) + phi({j: -1j * h})) / (h * h)
-        H[j, j] = 0.25 * (dxx + dyy)
-        for k in range(n):
-            if k == j:
-                continue
-            re = 0.25 * (second(j, h, k, h) + second(j, 1j * h, k, 1j * h))
-            im = 0.25 * (second(j, h, k, 1j * h) - second(j, 1j * h, k, h))
-            H[j, k] = re + 1j * im
-    if symmetrize:
-        H = 0.5 * (H + H.conj().T)
+    # quarter Laplacian from the xx and yy differences; the potential vanishes at the origin
+    d2 = (phi_diag[:, 0::2] + phi_diag[:, 1::2]) / (h * h)
+    H = np.diag(0.25 * (d2[:, 0] + d2[:, 1])).astype(complex)
+    # mixed second derivatives along real (0) or imaginary (1) directions of
+    # j and k; steps 2a and 2a + 1 are opposite
+    pp, pm = phi_cross[:, 0::2, 0::2], phi_cross[:, 0::2, 1::2]
+    mp, mm = phi_cross[:, 1::2, 0::2], phi_cross[:, 1::2, 1::2]
+    second = (pp - pm - mp + mm) / (4.0 * h * h)
+    re = 0.25 * (second[:, 0, 0] + second[:, 1, 1])
+    im = 0.25 * (second[:, 0, 1] - second[:, 1, 0])
+    H[j, k] = re + 1j * im
+    H[k, j] = H[j, k].conj()
     return H
 
 
@@ -187,7 +178,8 @@ def check_eigenvalue_formula(
     Builds both Hessians at the origin, solves the generalized eigenproblem of
     the psi Hessian against the metric Hessian, and reports the maximal
     absolute deviation from the exact pairing-ratio spectrum.  The step and
-    the tolerance must be finite and positive.
+    the tolerance must be finite and positive; a Hessian or a spectrum that
+    leaves the float range is IllConditioned.
     """
     _require_type_a(flag)
     step = _finite_positive("step", step)
@@ -198,20 +190,24 @@ def check_eigenvalue_formula(
         raise NotKahler("metric coefficients must be strictly positive")
     exact = tuple(sorted(endomorphism_eigenvalues(flag, omega, psi)))
 
-    H_omega = numeric_form_at_origin(flag, omega_coefficients, step)
-    H_psi = numeric_form_at_origin(flag, psi_coefficients, step)
-    if np.linalg.cond(H_omega) > _COND_LIMIT:
-        raise IllConditioned("metric Hessian is numerically singular")
-    values = np.linalg.eigvals(np.linalg.solve(H_omega, H_psi))
-    numeric = tuple(sorted(float(v) for v in values.real))
-
-    max_dev = max(
-        (abs(num - float(ex)) for num, ex in zip(numeric, exact)),
-        default=0.0,
-    )
+    # non-finite intermediates are reported as IllConditioned, not as warnings
+    with np.errstate(all="ignore"):
+        H_omega = numeric_form_at_origin(flag, omega_coefficients, step)
+        H_psi = numeric_form_at_origin(flag, psi_coefficients, step)
+        if not (np.isfinite(H_omega).all() and np.isfinite(H_psi).all()):
+            raise IllConditioned(f"a Hessian at step {step} has a non-finite entry")
+        try:
+            if np.linalg.cond(H_omega) > _COND_LIMIT:
+                raise IllConditioned("metric Hessian is numerically singular")
+            numeric = sorted(np.linalg.eigvals(np.linalg.solve(H_omega, H_psi)).real.tolist())
+            max_dev = float(np.max(np.abs(np.subtract(numeric, [float(ex) for ex in exact]))))
+        except (np.linalg.LinAlgError, OverflowError):
+            max_dev = nan
+    if not isfinite(max_dev):
+        raise IllConditioned("the numeric or the exact spectrum leaves the float range")
     return EigenvalueReport(
         exact=exact,
-        numeric=numeric,
+        numeric=tuple(numeric),
         max_deviation=max_dev,
         step=step,
         tol=tol,

@@ -176,36 +176,32 @@ def build_root_datum(lie_type: LieType) -> RootDatum:
                 raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
 
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    found: set[tuple[int, ...]] = set(simple)
+    # half square length (beta, beta)/2 of every root found so far; along a
+    # string it grows as L(beta + alpha_i) = L(beta) + d_i * (<beta, alpha_i^vee> + 1)
+    half: dict[tuple[int, ...], int] = {s: d[i] for i, s in enumerate(simple)}
     frontier = list(simple)
     while frontier:
-        grown: set[tuple[int, ...]] = set()
-        for coords in frontier:
+        grown = []
+        for beta in frontier:
             for i in range(n):
+                # how far the alpha_i-string through beta reaches down
                 down = 0
-                probe = list(coords)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in found:
-                        break
+                while beta[i] > down and beta[:i] + (beta[i] - down - 1,) + beta[i + 1 :] in half:
                     down += 1
-                up = down - _coroot_pairing_with_simple(C, coords, i)
-                if up >= 1:
-                    cand = tuple(m + (1 if j == i else 0) for j, m in enumerate(coords))
-                    if cand not in found:
-                        grown.add(cand)
-        found |= grown
+                pairing = _coroot_pairing_with_simple(C, beta, i)
+                if down - pairing >= 1:
+                    cand = tuple(m + (1 if j == i else 0) for j, m in enumerate(beta))
+                    if cand not in half:
+                        half[cand] = half[beta] + d[i] * (pairing + 1)
+                        grown.append(cand)
         frontier = sorted(grown)
 
-    ordered = sorted(found, key=lambda m: (sum(m), tuple(-c for c in m)))
+    ordered = sorted(half, key=lambda m: (sum(m), tuple(-c for c in m)))
     roots = []
     for coords in ordered:
-        num = sum(
-            coords[i] * coords[j] * C[i][j] * d[j] for i in range(n) for j in range(n)
-        )
-        if num % 2 or num <= 0:
-            raise AssertionError(f"bad half square length {num}/2 for {coords}")
-        half_len = num // 2
+        half_len = half[coords]
+        if half_len <= 0:
+            raise AssertionError(f"bad half square length {half_len} for {coords}")
         if any(coords[j] * d[j] % half_len for j in range(n)):
             raise AssertionError(f"coroot of {coords} is not integral")
         coroot = tuple(coords[j] * d[j] // half_len for j in range(n))

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import flagcy.flag_geometry as flag_geometry
 from flagcy.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -77,6 +82,22 @@ def test_primitive_basis_a3(capsys):
     assert code == 0
     assert len(report["results"]["basis"]) == 2
     assert all(d["value"] == "0" for d in report["results"]["degrees"])
+
+
+def test_primitive_basis_pairs_every_generator_with_one_weight_vector(capsys, monkeypatch):
+    built = []
+    original = flag_geometry._degree_weights
+
+    def counted(flag, omega):
+        built.append(omega)
+        return original(flag, omega)
+
+    monkeypatch.setattr(flag_geometry, "_degree_weights", counted)
+    code, report = run_json(capsys, "primitive-basis", "A", "6", "--omega0=1,2,3,4,5,6")
+    assert code == 0
+    assert len(report["results"]["degrees"]) == 5
+    assert all(d == {"value": "0", "two_pi_power": 0} for d in report["results"]["degrees"])
+    assert len(built) == 1
 
 
 def test_gauduchon_a2(capsys):
@@ -166,16 +187,56 @@ def test_verify_numeric_type_b_exits_3(capsys):
     assert report["error"]["type"] == "UnsupportedType"
 
 
-def test_verify_numeric_rejects_bad_step_and_tol(capsys):
-    def no_bare_constants(token):
-        raise AssertionError(f"report is not strict JSON: bare {token}")
+def no_bare_constants(token):
+    raise AssertionError(f"report is not strict JSON: bare {token}")
 
-    for option in ("--step=-1", "--step=nan", "--step=inf", "--tol=nan"):
-        code, out = run(capsys, "verify-numeric", "A", "3", option, "--psi=-1,1,0", "--format", "json")
+
+def test_verify_numeric_rejects_bad_step_and_tol(capsys):
+    cases = [
+        ("A", "3", "--psi=-1,1,0", "--step=-1", "InvalidParameter"),
+        ("A", "3", "--psi=-1,1,0", "--step=nan", "InvalidParameter"),
+        ("A", "3", "--psi=-1,1,0", "--step=inf", "InvalidParameter"),
+        ("A", "3", "--psi=-1,1,0", "--tol=nan", "InvalidParameter"),
+        # steps whose Hessians leave the float range
+        ("A", "3", "--psi=-1,1,0", "--step=1e-300", "IllConditioned"),
+        ("A", "3", "--psi=-1,1,0", "--step=1e-200", "IllConditioned"),
+        ("A", "3", "--psi=-1,1,0", "--step=1e300", "IllConditioned"),
+        # exact rationals beyond the float range
+        ("A", "2", "--psi=-1,1", "--omega0=1e400,1", "InvalidParameter"),
+        ("A", "2", "--psi=1e400,-1", "--tol=1e-5", "InvalidParameter"),
+    ]
+    for family, rank, psi, option, error in cases:
+        code, out = run(capsys, "verify-numeric", family, rank, psi, option, "--format", "json")
         report = json.loads(out, parse_constant=no_bare_constants)
         assert code == 2, option
         assert report["status"] == "error"
-        assert report["error"]["type"] == "InvalidParameter"
+        assert report["error"]["type"] == error, (psi, option)
+
+
+FLOAT_TEXT = st.one_of(st.floats().map(repr), st.integers().map(str))
+RATIONAL_TEXT = st.one_of(FLOAT_TEXT, st.fractions().map(str))
+CLASS_TEXT = st.lists(RATIONAL_TEXT, min_size=1, max_size=3).map(",".join)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(step=FLOAT_TEXT, tol=FLOAT_TEXT, omega0=CLASS_TEXT, psi=CLASS_TEXT)
+@example(step="1e-300", tol="1e-5", omega0="1,1", psi="1,-1")
+@example(step="1e-200", tol="1e-5", omega0="1,1", psi="1,-1")
+@example(step="1e300", tol="1e-5", omega0="1,1", psi="1,-1")
+@example(step="1e-4", tol="1e-5", omega0="1e400,1", psi="1,-1")
+@example(step="1e-4", tol="1e-5", omega0="1,1", psi="1e400,-1")
+@example(step="-1", tol="1e-5", omega0="1,1", psi="1,-1")
+@example(step="nan", tol="nan", omega0="1,1", psi="1,-1")
+@example(step="1e-4", tol="1e-5", omega0="1e-10,1e-10", psi="1e300,1e300")
+def test_verify_numeric_never_tracebacks(step, tol, omega0, psi):
+    argv = ["verify-numeric", "A", "2", f"--step={step}", f"--tol={tol}",
+            f"--omega0={omega0}", f"--psi={psi}", "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=no_bare_constants)
 
 
 def test_repeated_parabolic_index_exits_2(capsys):

@@ -111,8 +111,111 @@ def test_numeric_form_full_flag_diagonal():
 
 def test_numeric_form_hermitian_before_symmetrization():
     for flag, coeffs in [(flag_of("A", 2), [2, 2]), (flag_of("A", 3), [1, 2, 3])]:
-        H = numeric_form_at_origin(flag, coeffs, symmetrize=False)
-        assert np.max(np.abs(H - H.conj().T)) < 1e-10
+        H = numeric_form_at_origin(flag, coeffs)
+        assert np.array_equal(H, H.conj().T)
+
+
+def _reference_hessian(flag, coeffs, h):
+    """Every entry on its own, from single-point potentials and 4-point stencils."""
+    n = flag.dim_c
+
+    def phi(displacements):
+        point = [0j] * n
+        for idx, dz in displacements.items():
+            point[idx] = dz
+        return kahler_potential(flag, coeffs, point)
+
+    def second(j, dj, k, dk):
+        pp, pm = phi({j: dj, k: dk}), phi({j: dj, k: -dk})
+        mp, mm = phi({j: -dj, k: dk}), phi({j: -dj, k: -dk})
+        return (pp - pm - mp + mm) / (4.0 * h * h)
+
+    H = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        dxx = (phi({j: h}) + phi({j: -h})) / (h * h)
+        dyy = (phi({j: 1j * h}) + phi({j: -1j * h})) / (h * h)
+        H[j, j] = 0.25 * (dxx + dyy)
+        for k in range(n):
+            if k != j:  # both H[j, k] and H[k, j], each from its own stencils
+                re = 0.25 * (second(j, h, k, h) + second(j, 1j * h, k, 1j * h))
+                im = 0.25 * (second(j, h, k, 1j * h) - second(j, 1j * h, k, h))
+                H[j, k] = re + 1j * im
+    return H
+
+
+@pytest.mark.parametrize(
+    "rank, parabolic, coeffs",
+    [(1, [], [3]), (2, [], [2, -1]), (3, [], [1, 2, 3]), (3, [2], [3, -2]), (4, [2, 3], [1, 5])],
+)
+def test_numeric_form_matches_per_entry_reference(rank, parabolic, coeffs):
+    flag = flag_of("A", rank, parabolic)
+    for h in (1e-4, 1e-2):
+        H = numeric_form_at_origin(flag, coeffs, step=h)
+        assert np.max(np.abs(H - _reference_hessian(flag, coeffs, h))) < 1e-12
+
+
+def test_numeric_form_recovers_a_hermitian_quadratic(monkeypatch):
+    # at the origin the invariant Hessians are diagonal, so the cross stencils
+    # and the conjugate mirror are checked on phi(z) = sum A_jk z_j conj(z_k),
+    # whose complex Hessian d^2 phi / dz_j dconj(z_k) is A itself
+    flag = flag_of("A", 3, [2])
+    rng = np.random.default_rng(11)
+    B = rng.normal(size=(flag.dim_c,) * 2) + 1j * rng.normal(size=(flag.dim_c,) * 2)
+    A = B + B.conj().T
+
+    def quadratic(flag, coefficients, points):
+        return np.einsum("...j,jk,...k->...", points, A, np.conj(points)).real
+
+    monkeypatch.setattr(potential_lab, "kahler_potential", quadratic)
+    H = numeric_form_at_origin(flag, [1, 1])
+    assert np.max(np.abs(H - A)) < 1e-8
+    assert np.array_equal(H, H.conj().T)
+
+
+def test_numeric_form_evaluates_the_potential_once(monkeypatch):
+    flag = flag_of("A", 3, [2])
+    calls = []
+
+    def counted(*args):
+        calls.append(np.shape(args[2]))
+        return kahler_potential(*args)
+
+    monkeypatch.setattr(potential_lab, "kahler_potential", counted)
+    numeric_form_at_origin(flag, [1, 2])
+    n = flag.dim_c
+    assert calls == [(4 * n + 8 * n * (n - 1), n)]
+
+
+def _random_points(flag, shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape + (flag.dim_c,)) + 1j * rng.normal(size=shape + (flag.dim_c,))
+
+
+def test_stacked_points_equal_per_point_values():
+    for flag, coeffs in [(flag_of("A", 3), [1, -2, 3]), (flag_of("A", 4, [2, 3]), [2, 1])]:
+        points = _random_points(flag, (3, 4), seed=flag.dim_c)
+        mats = unipotent_matrix(flag, points)
+        potentials = kahler_potential(flag, coeffs, points)
+        norms = {a: norm_sq_fundamental(flag, points, a) for a in flag.complement}
+        assert mats.shape == (3, 4, flag.rank + 1, flag.rank + 1)
+        assert potentials.shape == (3, 4)
+        for index in np.ndindex(3, 4):
+            point = list(points[index])
+            assert np.array_equal(mats[index], unipotent_matrix(flag, point))
+            assert potentials[index] == kahler_potential(flag, coeffs, point)
+            for a in flag.complement:
+                assert norms[a][index] == norm_sq_fundamental(flag, point, a)
+
+
+def test_stacked_points_reject_wrong_trailing_dimension():
+    flag = flag_of("A", 3)
+    bad = _random_points(flag, (5,), seed=1)[:, :-1]
+    with pytest.raises(DimensionMismatch):
+        unipotent_matrix(flag, bad)
+    with pytest.raises(DimensionMismatch):
+        norm_sq_fundamental(flag, bad, 1)
+    with pytest.raises(DimensionMismatch):
+        kahler_potential(flag, [1, 1, 1], bad)
 
 
 def test_numeric_form_scale_equivariance():
@@ -183,3 +286,48 @@ def test_step_validation():
             check_eigenvalue_formula(flag, [2, 2], [1, 0], step=bad)
         with pytest.raises(InvalidParameter):
             check_eigenvalue_formula(flag, [2, 2], [1, 0], tol=bad)
+
+
+def test_non_finite_coefficients_rejected():
+    flag = flag_of("A", 2)
+    for bad in ([F(10**400), 1], [1, float("inf")], [float("nan"), 1]):
+        with pytest.raises(InvalidParameter):
+            kahler_potential(flag, bad, [0, 0, 0])
+        with pytest.raises(InvalidParameter):
+            numeric_form_at_origin(flag, bad)
+    with pytest.raises(InvalidParameter):
+        check_eigenvalue_formula(flag, [F(10**400), 1], [1, 0])
+    with pytest.raises(InvalidParameter):
+        check_eigenvalue_formula(flag, [2, 2], [F(-(10**400)), 1])
+
+
+def test_non_finite_hessian_is_ill_conditioned():
+    flag = flag_of("A", 2)
+    for step in (1e-300, 1e-200, 1e300):
+        with pytest.raises(IllConditioned, match="non-finite entry"):
+            check_eigenvalue_formula(flag, [2, 2], [1, 0], step=step)
+    # finite Hessians whose spectrum overflows a float
+    with pytest.raises(IllConditioned, match="float range"):
+        check_eigenvalue_formula(flag, [F(1, 10**10), F(1, 10**10)], [10**300, 10**300])
+
+
+def test_exact_spectrum_beyond_float_range_is_ill_conditioned(monkeypatch):
+    # identity Hessians keep the numeric side finite; the exact ratio 10^400 is not
+    flag = flag_of("A", 2)
+    monkeypatch.setattr(potential_lab, "numeric_form_at_origin", lambda *a, **k: np.eye(3))
+    with pytest.raises(IllConditioned, match="float range"):
+        potential_lab.check_eigenvalue_formula(flag, [1, 1], [10**400, 0])
+
+
+def test_check_order_type_step_tol_dimension_kahler():
+    a2, b2 = flag_of("A", 2), flag_of("B", 2)
+    with pytest.raises(UnsupportedType):
+        check_eigenvalue_formula(b2, [0], [1], step=-1, tol=-1)
+    with pytest.raises(InvalidParameter, match="step"):
+        check_eigenvalue_formula(a2, [0], [1], step=-1, tol=-1)
+    with pytest.raises(InvalidParameter, match="tol"):
+        check_eigenvalue_formula(a2, [0], [1], tol=-1)
+    with pytest.raises(DimensionMismatch):
+        check_eigenvalue_formula(a2, [0], [F(10**400)])
+    with pytest.raises(NotKahler):
+        check_eigenvalue_formula(a2, [0, F(10**400)], [F(10**400), 1])
