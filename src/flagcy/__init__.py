@@ -7,7 +7,7 @@ eigenvalues, volumes and degrees, the degree-zero Picard lattice, and the
 torus-bundle metric data built from it (Ricci-flat for every Hermitian
 connection parameter below one, and balanced).  A small numeric lab
 cross-checks the exact eigenvalue formulas on type-A big cells by finite
-differences.
+differences; only the lab needs numpy, which loads on first use of a lab name.
 """
 
 from .errors import (
@@ -70,13 +70,18 @@ from .bundle_constructor import (
     verify_coclosed,
     verify_ricci_flat,
 )
-from .potential_lab import (
-    EigenvalueReport,
-    check_eigenvalue_formula,
-    kahler_potential,
-    norm_sq_fundamental,
-    numeric_form_at_origin,
-    unipotent_matrix,
-)
 
 __version__ = "0.1.0"
+_LAB_NAMES = ("EigenvalueReport", "check_eigenvalue_formula", "kahler_potential",
+              "norm_sq_fundamental", "numeric_form_at_origin", "unipotent_matrix")
+
+
+def __getattr__(name):
+    if name not in _LAB_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import potential_lab  # imports numpy, so only on the first use of a lab name
+    return getattr(potential_lab, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAB_NAMES})

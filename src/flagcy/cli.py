@@ -9,6 +9,7 @@ numeric-lab fields are plain floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,7 +36,6 @@ from .flag_geometry import (
     make_flag,
 )
 from .picard_lattice import LineBundleClass, primitive_basis
-from .potential_lab import check_eigenvalue_formula
 from .root_system import LieType, build_root_datum
 
 
@@ -192,6 +192,7 @@ def _cmd_balanced(args) -> dict:
 
 
 def _cmd_verify_numeric(args) -> dict:
+    from .potential_lab import check_eigenvalue_formula  # numpy loads only here
     flag = _build_flag(args)
     if args.omega0.strip() == "anticanonical":
         omega_coeffs = [Fraction(l) for l in anticanonical_coeffs(flag)]
@@ -307,10 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parse_args keeps no state, so one parser serves all calls
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _CliParseError as exc:
         print(f"flagcy: {exc}", file=sys.stderr)
         return 1

@@ -81,12 +81,13 @@ def norm_sq_fundamental(flag: ParabolicFlag, point: ArrayLike, alpha: int):
     _require_type_a(flag)
     if alpha not in flag.complement:
         raise IndexOutOfRange(f"alpha_{alpha} is not a Picard direction of this flag")
-    mat = unipotent_matrix(flag, point)
-    total = 0.0
-    # one batched determinant per row choice, over the whole stack
-    for rows in combinations(range(flag.rank + 1), alpha):
-        total = total + np.abs(np.linalg.det(mat[..., list(rows), :alpha])) ** 2
-    return float(total) if mat.ndim == 2 else total
+    total = _minor_norm_sq(unipotent_matrix(flag, point), alpha)
+    return float(total) if total.ndim == 0 else total
+
+
+def _minor_norm_sq(mat: np.ndarray, alpha: int) -> np.ndarray:
+    rows = combinations(range(mat.shape[-1]), alpha)  # one batched determinant per row choice
+    return sum(np.abs(np.linalg.det(mat[..., list(r), :alpha])) ** 2 for r in rows)
 
 
 def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: ArrayLike):
@@ -108,10 +109,11 @@ def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: ArrayLi
         values = [inf]
     if not all(map(isfinite, values)):
         raise InvalidParameter("potential coefficients must be finite as floats")
-    total = np.zeros(np.shape(point)[:-1])
+    mat = unipotent_matrix(flag, point)  # one chart stack for every Picard direction
+    total = np.zeros(mat.shape[:-2])
     for alpha, c in zip(flag.complement, values):
         if c != 0.0:
-            total = total + c / (2.0 * pi) * np.log(norm_sq_fundamental(flag, point, alpha))
+            total = total + c / (2.0 * pi) * np.log(_minor_norm_sq(mat, alpha))
     return float(total) if total.ndim == 0 else total
 
 

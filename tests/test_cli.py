@@ -1,13 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flagcy
+import flagcy.cli as cli
 import flagcy.flag_geometry as flag_geometry
 from flagcy.cli import main
 
@@ -301,3 +306,92 @@ def test_json_reports_round_trip_byte_identical(capsys, name):
     out = capsys.readouterr().out
     rendered = json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     assert rendered == out
+
+
+def _outcomes(requests):
+    outcomes = []
+    for argv in requests:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+GAUDUCHON_A2 = ["gauduchon", "A", "2", "--k", "1", "--t=-1", "--format", "json"]
+REUSE_REQUESTS = [
+    ["describe", "A", "x"],
+    [*GAUDUCHON_A2, "--bundle=-1,1", "--bundle=-2,2", "--bundle=-3,3"],
+    [*GAUDUCHON_A2, "--bundle=-1,1"],
+    ["balanced", "A", "2", "--bundle=-1,1", "--format", "json"],
+    *GOLDEN_COMMANDS.values(),
+]
+
+
+def test_reused_parser_answers_like_a_fresh_one(monkeypatch):
+    cli._parser.cache_clear()
+    reused = _outcomes(REUSE_REQUESTS * 2)
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == _outcomes(REUSE_REQUESTS * 2)
+
+    assert [code for code, _, _ in reused[:4]] == [1, 0, 0, 2]
+    assert len(json.loads(reused[1][1])["inputs"]["bundle"]) == 3
+    assert json.loads(reused[2][1])["inputs"]["bundle"] == ["-1,1"]
+    assert json.loads(reused[3][1])["error"]["type"] == "OddCount"
+    for (code, out, _), name in zip(reused[4:], GOLDEN_COMMANDS):
+        assert code == 0
+        assert out == (GOLDEN_DIR / name).read_text()
+
+
+def test_reused_parser_prints_the_same_help(monkeypatch):
+    def help_texts():
+        texts = []
+        for command in ([], *([name] for name in cli._HANDLERS)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+                main([*command, "--help"])
+            assert exit_info.value.code == 0
+            texts.append(out.getvalue())
+        return texts
+
+    reused = help_texts()
+    assert reused == help_texts()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == help_texts()
+
+
+LAZY_LAB_SCRIPT = """
+import sys
+import flagcy, flagcy.cli
+
+lab = {lab!r}
+requests = [
+    ["describe", "A", "2"],
+    ["primitive-basis", "A", "2"],
+    ["gauduchon", "A", "2", "--k", "1", "--t=-1", "--bundle=-1,1"],
+    ["balanced", "A", "2", "--bundle=-1,1", "--bundle=-2,2"],
+]
+assert all(flagcy.cli.main(argv) == 0 for argv in requests)
+assert set(lab) <= set(dir(flagcy))
+assert "numpy" not in sys.modules, "numpy loaded without the numeric lab"
+assert flagcy.cli.main(["verify-numeric", "A", "2", "--psi=1,0"]) == 0
+assert "numpy" in sys.modules
+assert flagcy.kahler_potential is flagcy.potential_lab.kahler_potential
+try:
+    flagcy.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("flagcy.no_such_name resolved")
+"""
+
+
+def test_numpy_loads_only_for_the_numeric_lab():
+    lab = ("EigenvalueReport", "check_eigenvalue_formula", "kahler_potential",
+           "norm_sq_fundamental", "numeric_form_at_origin", "unipotent_matrix")
+    src = str(Path(flagcy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = LAZY_LAB_SCRIPT.format(lab=lab)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
