@@ -38,8 +38,6 @@ from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
     anticanonical_class,
-    anticanonical_coeffs,
-    basis_class,
     class_from_coeffs,
     degree,
     endomorphism_eigenvalues,
@@ -49,14 +47,11 @@ from .flag_geometry import (
     make_flag,
     ricci_class,
     volume,
-    zero_class,
 )
 from .picard_lattice import (
     LineBundleClass,
     PrimitiveBasis,
     integer_combination,
-    is_primitive,
-    orthogonal_decompose,
     primitive_basis,
 )
 from .bundle_constructor import (

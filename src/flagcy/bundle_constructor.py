@@ -32,13 +32,13 @@ from .errors import (
     OddCount,
     PicardRankOne,
     TrivialBundle,
+    _integer,
 )
 from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
     _require_kahler,
     anticanonical_class,
-    anticanonical_coeffs,
     fano_index,
     lefschetz_contraction,
     ricci_class,
@@ -79,7 +79,7 @@ def _exact_k_t(k, t, t_message: str | None) -> tuple[int, Fraction]:
     ``k`` must be nonzero; ``t >= 1`` raises with ``t_message`` unless that
     is None (diagnostic mode).
     """
-    k = int(k)
+    k = _integer(k, InvalidParameter, "twist k")
     t = Fraction(t)
     if k == 0:
         raise InvalidParameter("twist k must be a nonzero integer")
@@ -90,6 +90,27 @@ def _exact_k_t(k, t, t_message: str | None) -> tuple[int, Fraction]:
 
 def _scale(flag: ParabolicFlag, k: int, t: Fraction, index: int) -> Fraction:
     return (1 - t) / 2 * Fraction(k * k * flag.dim_c, index * index)
+
+
+def _curvature_classes(
+    flag: ParabolicFlag,
+    reference: InvariantClass,
+    bundles: Sequence[LineBundleClass],
+    nontrivial: bool,
+) -> tuple[InvariantClass, ...]:
+    """The bundles' curvature classes at 2*pi power 1, each checked primitive.
+
+    Bundle ``j`` is checked (trivial if ``nontrivial``, then primitive) before bundle ``j+1``.
+    """
+    classes = []
+    for j, bundle in enumerate(bundles, start=1):
+        c = bundle.to_class()
+        if nontrivial and c.is_zero:
+            raise TrivialBundle(j)
+        if lefschetz_contraction(flag, reference, c)[0] != 0:
+            raise NotPrimitive(j)
+        classes.append(c.times_two_pi())
+    return tuple(classes)
 
 
 def ricci_flat_scale(flag: ParabolicFlag, k: int, t) -> Fraction:
@@ -125,14 +146,7 @@ def build_t_gauduchon(
             f"need an odd number 2r-1 of degree-zero bundles, got {len(bundles)}"
         )
 
-    vartheta = anticanonical_class(flag)
-    for j, bundle in enumerate(bundles, start=1):
-        if bundle.is_trivial:
-            raise TrivialBundle(j)
-        value, _ = lefschetz_contraction(flag, vartheta, bundle.to_class())
-        if value != 0:
-            raise NotPrimitive(j)
-
+    curvatures = _curvature_classes(flag, anticanonical_class(flag), bundles, nontrivial=True)
     index = fano_index(flag)
     if scale is None:
         # at t >= 1 (diagnostic only) the closed-form scale degenerates; any
@@ -143,14 +157,12 @@ def build_t_gauduchon(
         if scale <= 0:
             raise InvalidParameter("scale override must be positive")
 
-    ell = anticanonical_coeffs(flag)
+    ell = flag.anticanonical
     omega0 = InvariantClass(1, tuple(scale * l for l in ell))
     psi_first = InvariantClass(1, tuple(Fraction(k * l, index) for l in ell))
     if any(c.denominator != 1 for c in psi_first.coeffs):
         raise AssertionError("anticanonical coefficients are not divisible by the index")
-    psi = (psi_first,) + tuple(
-        InvariantClass(1, tuple(Fraction(c) for c in bundle.coeffs)) for bundle in bundles
-    )
+    psi = (psi_first,) + curvatures
     return GauduchonDatum(flag, k, t, scale, omega0, psi, r=(len(bundles) + 1) // 2)
 
 
@@ -207,14 +219,7 @@ def build_balanced(
         raise OddCount(
             f"need a positive even number 2r of degree-zero bundles, got {len(bundles)}"
         )
-    for j, bundle in enumerate(bundles, start=1):
-        value, _ = lefschetz_contraction(flag, omega0, bundle.to_class())
-        if value != 0:
-            raise NotPrimitive(j)
-    psi = tuple(
-        InvariantClass(1, tuple(Fraction(c) for c in bundle.coeffs)) for bundle in bundles
-    )
-    return BalancedDatum(flag, omega0, psi)
+    return BalancedDatum(flag, omega0, _curvature_classes(flag, omega0, bundles, nontrivial=False))
 
 
 def verify_coclosed(datum: BalancedDatum) -> tuple[Fraction, ...]:

@@ -30,7 +30,6 @@ from .flag_geometry import (
     ParabolicFlag,
     _degrees,
     anticanonical_class,
-    anticanonical_coeffs,
     class_from_coeffs,
     fano_index,
     make_flag,
@@ -119,7 +118,6 @@ def _inputs_echo(args) -> dict:
 
 def _cmd_describe(args) -> dict:
     flag = _build_flag(args)
-    ell = anticanonical_coeffs(flag)
     off = set(flag.phi_complement)
     table = [
         {
@@ -134,7 +132,7 @@ def _cmd_describe(args) -> dict:
         "dim_c": flag.dim_c,
         "picard_rank": flag.picard_rank,
         "fano_index": fano_index(flag),
-        "anticanonical": _coeff_map(flag, ell, render=int),
+        "anticanonical": _coeff_map(flag, flag.anticanonical, render=int),
         "kahler_cone_generators": [_alpha_key(a) for a in flag.complement],
         "positive_roots": table,
     }
@@ -195,7 +193,7 @@ def _cmd_verify_numeric(args) -> dict:
     from .potential_lab import check_eigenvalue_formula  # numpy loads only here
     flag = _build_flag(args)
     if args.omega0.strip() == "anticanonical":
-        omega_coeffs = [Fraction(l) for l in anticanonical_coeffs(flag)]
+        omega_coeffs = [Fraction(l) for l in flag.anticanonical]
     else:
         omega_coeffs = list(_parse_fractions(args.omega0))
     psi_coeffs = list(_parse_fractions(args.psi))

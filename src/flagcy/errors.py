@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integrality check that raises them."""
 
 
 class FlagcyError(Exception):
@@ -59,3 +59,14 @@ class UnsupportedType(FlagcyError):
 
 class IllConditioned(FlagcyError):
     """A numeric linear system is too close to singular, or leaves the float range."""
+
+
+def _integer(value, error: type[FlagcyError], what: str) -> int:
+    """``value`` as an exact int; ``error`` instead of truncating ``1.5``, nan or ``"2"``."""
+    try:
+        n = int(value)
+        if n == value:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be an integer, got {value!r}")

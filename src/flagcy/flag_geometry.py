@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch, IndexOutOfRange, NotKahler
+from .errors import DimensionMismatch, IndexOutOfRange, NotKahler, _integer
 from .root_system import PositiveRoot, RootDatum, _coroot_pairing_with_simple
 
 
@@ -71,7 +71,7 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
     Each index may appear once; the pairing table, Weyl row and
     anticanonical coefficients are computed here, once per flag.
     """
-    indices = [int(i) for i in parabolic]
+    indices = [_integer(i, IndexOutOfRange, "simple-root index") for i in parabolic]
     pset = frozenset(indices)
     for i in indices:
         if not 1 <= i <= datum.rank:
@@ -120,21 +120,13 @@ class InvariantClass:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _compatible(self, other: "InvariantClass") -> None:
+    def __add__(self, other: "InvariantClass") -> "InvariantClass":
         if len(self.coeffs) != len(other.coeffs):
             raise DimensionMismatch("classes live on different flags")
         if not self.is_zero and not other.is_zero and self.two_pi_power != other.two_pi_power:
             raise DimensionMismatch("classes carry different powers of 2*pi")
-
-    def __add__(self, other: "InvariantClass") -> "InvariantClass":
-        self._compatible(other)
         power = other.two_pi_power if self.is_zero else self.two_pi_power
         return InvariantClass(power, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "InvariantClass") -> "InvariantClass":
-        self._compatible(other)
-        power = other.two_pi_power if self.is_zero else self.two_pi_power
-        return InvariantClass(power, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scaled(self, s) -> "InvariantClass":
         s = Fraction(s)
@@ -152,20 +144,6 @@ def class_from_coeffs(flag: ParabolicFlag, coeffs: Sequence, two_pi_power: int =
     return InvariantClass(two_pi_power, tuple(Fraction(c) for c in coeffs))
 
 
-def zero_class(flag: ParabolicFlag) -> InvariantClass:
-    return InvariantClass(0, (Fraction(0),) * flag.picard_rank)
-
-
-def basis_class(flag: ParabolicFlag, alpha: int) -> InvariantClass:
-    """The Picard generator attached to the simple root ``alpha``."""
-    if alpha not in flag.complement:
-        raise IndexOutOfRange(f"alpha_{alpha} is not a Picard direction of this flag")
-    return InvariantClass(
-        0,
-        tuple(Fraction(1 if a == alpha else 0) for a in flag.complement),
-    )
-
-
 def _check_class(flag: ParabolicFlag, c: InvariantClass) -> None:
     if len(c.coeffs) != flag.picard_rank:
         raise DimensionMismatch(
@@ -173,14 +151,9 @@ def _check_class(flag: ParabolicFlag, c: InvariantClass) -> None:
         )
 
 
-def anticanonical_coeffs(flag: ParabolicFlag) -> tuple[int, ...]:
-    """Coefficients of the anticanonical class over the Picard generators."""
-    return flag.anticanonical
-
-
 def anticanonical_class(flag: ParabolicFlag) -> InvariantClass:
     """The integral anticanonical Kahler class (2*pi power 0)."""
-    return InvariantClass(0, tuple(Fraction(l) for l in anticanonical_coeffs(flag)))
+    return InvariantClass(0, flag.anticanonical)
 
 
 def ricci_class(flag: ParabolicFlag) -> InvariantClass:

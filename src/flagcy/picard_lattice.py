@@ -26,29 +26,27 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import DimensionMismatch, IndexOutOfRange, PicardRankOne
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, PicardRankOne, _integer
 from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
-    _check_class,
     _degree_weights,
     _require_kahler,
-    lefschetz_contraction,
 )
 
 
 @dataclass(frozen=True)
 class LineBundleClass:
-    """Integer exponent vector of a tensor product of Picard generators."""
+    """Integer exponent vector of a tensor product of Picard generators.
+
+    A non-integral exponent raises ``InvalidParameter`` instead of truncating.
+    """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        coeffs = tuple(_integer(c, InvalidParameter, "bundle exponent") for c in self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def to_class(self) -> InvariantClass:
         return InvariantClass(0, tuple(Fraction(c) for c in self.coeffs))
@@ -118,32 +116,6 @@ def primitive_basis(
     return PrimitiveBasis(gamma, q, tau, tuple(basis))
 
 
-def is_primitive(flag: ParabolicFlag, c: InvariantClass, omega0: InvariantClass) -> bool:
-    """True exactly when the contraction against the Kahler class vanishes."""
-    value, _ = lefschetz_contraction(flag, omega0, c)
-    return value == 0
-
-
-def orthogonal_decompose(
-    flag: ParabolicFlag, c: InvariantClass, omega0: InvariantClass
-) -> tuple[Fraction, InvariantClass]:
-    """Split ``c`` into a multiple of the Kahler class plus a primitive part.
-
-    Returns ``(m, p)`` with ``c = m * omega0 + p`` at the coefficient level
-    and the contraction of ``p`` exactly zero.  When the two classes carry
-    different 2*pi powers the multiple ``m`` implicitly absorbs the
-    difference.
-    """
-    _check_class(flag, c)
-    value, _ = lefschetz_contraction(flag, omega0, c)
-    m = value / flag.dim_c
-    p = InvariantClass(
-        c.two_pi_power,
-        tuple(cc - m * oc for cc, oc in zip(c.coeffs, omega0.coeffs)),
-    )
-    return m, p
-
-
 def integer_combination(
     basis: PrimitiveBasis, target: LineBundleClass | Sequence[int]
 ) -> tuple[int, ...] | None:
@@ -156,9 +128,10 @@ def integer_combination(
     they recombine to the target exactly, which also enforces ``q . c = 0``.
     The result is exact membership in the integer span of the two-term
     generators, which is a proper sublattice of the degree-zero lattice when
-    ``|q_gamma| > 1`` and the Picard rank is at least three.
+    ``|q_gamma| > 1`` and the Picard rank is at least three.  A sequence
+    target goes through ``LineBundleClass`` and its integrality check.
     """
-    coeffs = target.coeffs if isinstance(target, LineBundleClass) else tuple(int(c) for c in target)
+    coeffs = (target if isinstance(target, LineBundleClass) else LineBundleClass(target)).coeffs
     if len(coeffs) != len(basis.q):
         raise DimensionMismatch("target has the wrong number of coefficients")
     x = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidRank
+from .errors import InvalidRank, _integer
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -47,6 +47,7 @@ class LieType:
     def __post_init__(self):
         if self.family not in _RANK_RANGE:
             raise InvalidRank(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        object.__setattr__(self, "rank", _integer(self.rank, InvalidRank, "rank"))
         lo, hi = _RANK_RANGE[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"

@@ -13,11 +13,10 @@ from math import gcd, lcm
 from flagcy import (
     LineBundleClass,
     anticanonical_class,
-    anticanonical_coeffs,
-    basis_class,
     build_balanced,
     build_t_gauduchon,
     check_eigenvalue_formula,
+    class_from_coeffs,
     degree,
     fano_index,
     integer_combination,
@@ -63,12 +62,12 @@ def test_criterion_1_rank_two_full_flag_fixture():
     theta = anticanonical_class(flag)
     if fano_index(flag) != 2:
         failures.append(("fano_index", fano_index(flag)))
-    if anticanonical_coeffs(flag) != (2, 2):
-        failures.append(("anticanonical_coeffs", anticanonical_coeffs(flag)))
-    for alpha in (1, 2):
-        value = lefschetz_contraction(flag, theta, basis_class(flag, alpha))
+    if flag.anticanonical != (2, 2):
+        failures.append(("anticanonical", flag.anticanonical))
+    for unit in ([1, 0], [0, 1]):
+        value = lefschetz_contraction(flag, theta, class_from_coeffs(flag, unit))
         if value != (F(3, 4), 0):
-            failures.append(("contraction", alpha, value))
+            failures.append(("contraction", unit, value))
     pb = primitive_basis(flag, theta)
     if [b.coeffs for b in pb.basis] != [(-1, 1)]:
         failures.append(("primitive_basis", pb.basis))
@@ -194,7 +193,8 @@ def test_criterion_6_degree_zero_lattice_property():
         pb = primitive_basis(flag, theta)
         rho = flag.picard_rank
         # q from the degrees of the Picard generators, independently of pb.q
-        pairings = [degree(flag, basis_class(flag, a), theta)[0] for a in flag.complement]
+        units = [[int(a == b) for b in flag.complement] for a in flag.complement]
+        pairings = [degree(flag, class_from_coeffs(flag, u), theta)[0] for u in units]
         ints = [int(p * lcm(*(p.denominator for p in pairings))) for p in pairings]
         g = flag.complement.index(pb.pivot_gamma)
         q_gamma = ints[g] // gcd(*ints)

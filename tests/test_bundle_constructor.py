@@ -59,6 +59,8 @@ def test_ricci_flat_scale_rejects_bad_parameters():
         ricci_flat_scale(flag, 1, F(1))
     with pytest.raises(InvalidParameter):
         ricci_flat_scale(flag, 1, F(3, 2))
+    with pytest.raises(InvalidParameter):
+        ricci_flat_scale(flag, 1.5, 0)  # not truncated to k = 1
 
 
 def test_build_t_gauduchon_a2():
@@ -84,6 +86,8 @@ def test_build_t_gauduchon_rejections():
     assert err.value.index == 1
     with pytest.raises(InvalidParameter):
         build_t_gauduchon(flag, 0, F(0), [xi])
+    with pytest.raises(InvalidParameter):
+        build_t_gauduchon(flag, 1.7, F(0), [xi])  # not truncated to k = 1
     with pytest.raises(InvalidParameter):
         build_t_gauduchon(flag, 1, F(1), [xi])
     with pytest.raises(InvalidParameter):

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -359,6 +360,28 @@ def test_reused_parser_prints_the_same_help(monkeypatch):
     assert reused == help_texts()
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert reused == help_texts()
+
+
+def test_public_names_are_pinned():
+    public = sorted(
+        name for name in dir(flagcy)
+        if not name.startswith("_") and not inspect.ismodule(getattr(flagcy, name))
+    )
+    assert public == [
+        "BalancedDatum", "DimensionMismatch", "EigenvalueReport", "FlagcyError",
+        "GauduchonDatum", "IllConditioned", "IndexOutOfRange", "InvalidParameter",
+        "InvalidRank", "InvariantClass", "LieType", "LineBundleClass", "NotKahler",
+        "NotPrimitive", "NotProportional", "OddCount", "ParabolicFlag", "PicardRankOne",
+        "PositiveRoot", "PrimitiveBasis", "RootDatum", "TrivialBundle", "UnsupportedType",
+        "anticanonical_class", "build_balanced", "build_root_datum", "build_t_gauduchon",
+        "cartan_matrix", "check_eigenvalue_formula", "class_from_coeffs", "degree",
+        "endomorphism_eigenvalues", "fano_index", "integer_combination", "is_kahler",
+        "kahler_potential", "lee_form_coefficients", "lefschetz_contraction", "make_flag",
+        "norm_sq_fundamental", "numeric_form_at_origin", "positive_root_count",
+        "primitive_basis", "ricci_class", "ricci_flat_scale", "symmetrizer",
+        "unipotent_matrix", "verify_c1_trivial", "verify_coclosed", "verify_ricci_flat",
+        "volume",
+    ]
 
 
 LAZY_LAB_SCRIPT = """

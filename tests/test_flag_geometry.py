@@ -12,8 +12,6 @@ from flagcy import (
     LieType,
     NotKahler,
     anticanonical_class,
-    anticanonical_coeffs,
-    basis_class,
     build_root_datum,
     class_from_coeffs,
     degree,
@@ -24,7 +22,6 @@ from flagcy import (
     make_flag,
     ricci_class,
     volume,
-    zero_class,
 )
 from conftest import flag_of
 
@@ -89,17 +86,19 @@ def test_make_flag_rejects_bad_indices():
         make_flag(datum, [1, 2])  # parabolic set must stay proper
     with pytest.raises(IndexOutOfRange):
         make_flag(datum, [1, 1])  # each index at most once
+    with pytest.raises(IndexOutOfRange):
+        make_flag(datum, [1.9])  # not truncated to index 1
 
 
 def test_class_weight_basis_and_zero():
     flag = flag_of("A", 2)
     # the basis class is the fundamental weight (1, 0): it pairs with each
     # root through the first coroot coordinate
-    e1 = basis_class(flag, 1)
+    e1 = class_from_coeffs(flag, [1, 0])
     assert table_pairings(flag, e1.coeffs) == [b.coroot_coords[0] for b in flag.phi_complement]
     assert table_pairings(flag, e1.coeffs) == [1, 0, 1]
     assert e1.two_pi_power == 0
-    assert table_pairings(flag, zero_class(flag).coeffs) == [0, 0, 0]
+    assert table_pairings(flag, class_from_coeffs(flag, [0, 0]).coeffs) == [0, 0, 0]
 
 
 def test_class_weight_anticanonical():
@@ -122,8 +121,8 @@ def test_class_weight_fills_parabolic_slots_with_zero():
 def test_anticanonical_weight_full_flags_is_twice_weyl():
     for family, rank in [("A", 2), ("A", 3), ("B", 3), ("G", 2)]:
         flag = flag_of(family, rank)
-        assert anticanonical_coeffs(flag) == (2,) * rank
-        assert table_pairings(flag, anticanonical_coeffs(flag)) == [2 * h for h in flag.weyl_row]
+        assert flag.anticanonical == (2,) * rank
+        assert table_pairings(flag, flag.anticanonical) == [2 * h for h in flag.weyl_row]
 
 
 def test_anticanonical_weight_oracle_sum_of_off_parabolic_roots():
@@ -136,7 +135,7 @@ def test_anticanonical_weight_oracle_sum_of_off_parabolic_roots():
         for i in range(3):
             expected[i] += sum(m * cartan[j][i] for j, m in enumerate(coords))
     assert expected == [3, 0, 3]  # zero on the parabolic slot
-    assert anticanonical_coeffs(flag) == (expected[0], expected[2]) == (3, 3)
+    assert flag.anticanonical == (expected[0], expected[2]) == (3, 3)
 
 
 def test_fano_index_values():
@@ -150,8 +149,8 @@ def test_lefschetz_contraction_frozen_values():
     flag = flag_of("A", 2)
     theta = anticanonical_class(flag)
     # 1/2 + 0 + 1/4 over the three roots
-    assert lefschetz_contraction(flag, theta, basis_class(flag, 1)) == (F(3, 4), 0)
-    assert lefschetz_contraction(flag, theta, basis_class(flag, 2)) == (F(3, 4), 0)
+    assert lefschetz_contraction(flag, theta, class_from_coeffs(flag, [1, 0])) == (F(3, 4), 0)
+    assert lefschetz_contraction(flag, theta, class_from_coeffs(flag, [0, 1])) == (F(3, 4), 0)
     assert lefschetz_contraction(flag, theta, theta) == (F(3), 0)
     primitive = class_from_coeffs(flag, [-1, 1])
     assert lefschetz_contraction(flag, theta, primitive) == (F(0), 0)
@@ -193,16 +192,18 @@ def test_lefschetz_contraction_scale_covariance():
 
 def test_lefschetz_contraction_requires_kahler():
     flag = flag_of("A", 2)
+    e1 = class_from_coeffs(flag, [1, 0])
     with pytest.raises(NotKahler):
-        lefschetz_contraction(flag, class_from_coeffs(flag, [-1, 1]), basis_class(flag, 1))
+        lefschetz_contraction(flag, class_from_coeffs(flag, [-1, 1]), e1)
     with pytest.raises(NotKahler):
-        lefschetz_contraction(flag, zero_class(flag), basis_class(flag, 1))
+        lefschetz_contraction(flag, class_from_coeffs(flag, [0, 0]), e1)
 
 
 def test_eigenvalues_frozen_values():
     flag = flag_of("A", 2)
     theta = anticanonical_class(flag)
-    assert endomorphism_eigenvalues(flag, theta, basis_class(flag, 1)) == (F(1, 2), F(0), F(1, 4))
+    e1 = class_from_coeffs(flag, [1, 0])
+    assert endomorphism_eigenvalues(flag, theta, e1) == (F(1, 2), F(0), F(1, 4))
     assert endomorphism_eigenvalues(flag, theta, theta) == (F(1), F(1), F(1))
     primitive = class_from_coeffs(flag, [-1, 1])
     assert endomorphism_eigenvalues(flag, theta, primitive) == (F(-1, 2), F(1, 2), F(0))
@@ -246,7 +247,7 @@ def test_volume_two_pi_power_bookkeeping():
 def test_degree_frozen_values():
     flag = flag_of("A", 2)
     theta = anticanonical_class(flag)
-    assert degree(flag, basis_class(flag, 1), theta) == (F(12), 0)
+    assert degree(flag, class_from_coeffs(flag, [1, 0]), theta) == (F(12), 0)
     assert degree(flag, class_from_coeffs(flag, [-1, 1]), theta) == (F(0), 0)
 
 
@@ -261,7 +262,7 @@ def test_degree_of_anticanonical_is_positive():
 def test_is_kahler():
     flag = flag_of("A", 2)
     assert is_kahler(flag, anticanonical_class(flag))
-    assert not is_kahler(flag, zero_class(flag))
+    assert not is_kahler(flag, class_from_coeffs(flag, [0, 0]))
     assert not is_kahler(flag, class_from_coeffs(flag, [-1, 1]))
 
 
@@ -275,7 +276,7 @@ def test_ricci_self_consistency_all_small_flags():
 def test_fano_index_divides_anticanonical_coefficients():
     for flag in small_flags():
         index = fano_index(flag)
-        assert all(l % index == 0 for l in anticanonical_coeffs(flag))
+        assert all(l % index == 0 for l in flag.anticanonical)
 
 
 def test_invariant_class_zero_normalizes_power():

@@ -3,19 +3,19 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flagcy import (
+    InvalidParameter,
     LineBundleClass,
     NotKahler,
     PicardRankOne,
     anticanonical_class,
-    basis_class,
     class_from_coeffs,
     degree,
     integer_combination,
-    is_primitive,
     lefschetz_contraction,
-    orthogonal_decompose,
     primitive_basis,
     ricci_class,
 )
@@ -35,7 +35,7 @@ def test_hodge_riemann_pairing_frozen_values():
     with pytest.raises(NotKahler):
         primitive_basis(flag, class_from_coeffs(flag, [0, 1]))
     line = flag_of("A", 1)
-    assert degree(line, basis_class(line, 1), anticanonical_class(line)) == (F(1), 0)
+    assert degree(line, class_from_coeffs(line, [1]), anticanonical_class(line)) == (F(1), 0)
 
 
 def test_primitive_basis_a2():
@@ -102,26 +102,30 @@ def test_primitive_basis_respects_pivot_choice():
 
 
 def test_is_primitive():
+    # a class is primitive when its contraction against the Kahler class vanishes
     flag = flag_of("A", 2)
     theta = anticanonical_class(flag)
-    assert is_primitive(flag, class_from_coeffs(flag, [-1, 1]), theta)
-    assert not is_primitive(flag, theta, theta)
+    xi = class_from_coeffs(flag, [-1, 1])
+    assert lefschetz_contraction(flag, theta, xi)[0] == 0
+    assert lefschetz_contraction(flag, theta, theta)[0] != 0
     # primitivity is invariant under rescaling the reference class
-    assert is_primitive(flag, class_from_coeffs(flag, [-1, 1]), theta.scaled(F(7, 3)))
+    assert lefschetz_contraction(flag, theta.scaled(F(7, 3)), xi)[0] == 0
 
 
 def test_orthogonal_decompose_frozen():
+    # c = m * theta + p with m = contraction(c) / dim, and p is primitive
     flag = flag_of("A", 2)
     theta = anticanonical_class(flag)
-    m, p = orthogonal_decompose(flag, theta, theta)
-    assert (m, p.coeffs) == (F(1), (F(0), F(0)))
-    primitive = class_from_coeffs(flag, [-1, 1])
-    m, p = orthogonal_decompose(flag, primitive, theta)
-    assert m == 0 and p == primitive
-    m, p = orthogonal_decompose(flag, basis_class(flag, 1), theta)
-    assert m == F(1, 4)
-    assert p.coeffs == (F(1, 2), F(-1, 2))
-    assert lefschetz_contraction(flag, theta, p)[0] == 0
+    for coeffs, m_expected, p_expected in (
+        ([2, 2], F(1), (0, 0)),
+        ([-1, 1], F(0), (-1, 1)),
+        ([1, 0], F(1, 4), (F(1, 2), F(-1, 2))),
+    ):
+        c = class_from_coeffs(flag, coeffs)
+        m = lefschetz_contraction(flag, theta, c)[0] / flag.dim_c
+        p = c + theta.scaled(-m)
+        assert (m, p.coeffs) == (m_expected, p_expected)
+        assert lefschetz_contraction(flag, theta, p)[0] == 0
 
 
 def test_orthogonal_decompose_round_trip():
@@ -131,7 +135,8 @@ def test_orthogonal_decompose_round_trip():
         omega = class_from_coeffs(flag, [rng.randint(1, 4) for _ in range(rho)])
         for _ in range(30):
             c = class_from_coeffs(flag, [rng.randint(-8, 8) for _ in range(rho)])
-            m, p = orthogonal_decompose(flag, c, omega)
+            m = lefschetz_contraction(flag, omega, c)[0] / flag.dim_c
+            p = c + omega.scaled(-m)
             assert omega.scaled(m) + p == c
             assert lefschetz_contraction(flag, omega, p)[0] == 0
 
@@ -204,3 +209,31 @@ def test_pivot_bases_differ_for_a3_full_flag():
     basis_2 = primitive_basis(flag, theta, gamma=2)
     cross = [integer_combination(basis_2, xi) for xi in basis_1.basis]
     assert any(c is None for c in cross)
+
+
+COEFFICIENT = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=3), st.floats())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(coeffs=st.lists(COEFFICIENT, min_size=2, max_size=2))
+@example(coeffs=[-1.5, 1.5])
+@example(coeffs=[0.5, -0.5])
+@example(coeffs=[F(-3), 3.0])
+@example(coeffs=[float("nan"), 1])
+def test_bundle_coefficients_are_integral_or_rejected(coeffs):
+    # A2 has the single generator (-1, 1): a float or Fraction vector is either
+    # rejected or taken exactly, never truncated onto a lattice point
+    flag = flag_of("A", 2)
+    pb = primitive_basis(flag, anticanonical_class(flag))
+    try:
+        bundle = LineBundleClass(coeffs)
+    except InvalidParameter:
+        with pytest.raises(InvalidParameter):
+            integer_combination(pb, coeffs)
+        return
+    assert bundle.coeffs == tuple(coeffs)
+    assert all(type(c) is int for c in bundle.coeffs)
+    x = integer_combination(pb, coeffs)
+    if x is not None:
+        assert tuple(x[0] * c for c in pb.basis[0].coeffs) == tuple(coeffs)
+    assert (x is not None) == (sum(bundle.coeffs) == 0)

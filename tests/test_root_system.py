@@ -162,7 +162,8 @@ def test_ordering_is_graded_then_by_leading_support():
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 4), ("H", 2)],
+    [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 4), ("H", 2),
+     ("A", 2.5)],
 )
 def test_invalid_ranks_rejected(family, rank):
     with pytest.raises(InvalidRank):
