@@ -37,10 +37,11 @@ from .errors import (
 from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
-    _require_kahler,
+    _Reference,
+    _contraction,
+    _reference_weights,
     anticanonical_class,
     fano_index,
-    lefschetz_contraction,
     ricci_class,
 )
 from .picard_lattice import LineBundleClass
@@ -80,7 +81,10 @@ def _exact_k_t(k, t, t_message: str | None) -> tuple[int, Fraction]:
     is None (diagnostic mode).
     """
     k = _integer(k, InvalidParameter, "twist k")
-    t = Fraction(t)
+    try:
+        t = Fraction(t)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InvalidParameter(f"connection parameter t must be a rational, got {t!r}") from exc
     if k == 0:
         raise InvalidParameter("twist k must be a nonzero integer")
     if t_message is not None and t >= 1:
@@ -94,7 +98,7 @@ def _scale(flag: ParabolicFlag, k: int, t: Fraction, index: int) -> Fraction:
 
 def _curvature_classes(
     flag: ParabolicFlag,
-    reference: InvariantClass,
+    reference: _Reference,
     bundles: Sequence[LineBundleClass],
     nontrivial: bool,
 ) -> tuple[InvariantClass, ...]:
@@ -107,7 +111,7 @@ def _curvature_classes(
         c = bundle.to_class()
         if nontrivial and c.is_zero:
             raise TrivialBundle(j)
-        if lefschetz_contraction(flag, reference, c)[0] != 0:
+        if _contraction(flag, reference, c) != 0:
             raise NotPrimitive(j)
         classes.append(c.times_two_pi())
     return tuple(classes)
@@ -125,16 +129,14 @@ def build_t_gauduchon(
     t,
     bundles: Sequence[LineBundleClass],
     *,
-    scale: Fraction | None = None,
     diagnostic: bool = False,
 ) -> GauduchonDatum:
     """Assemble and validate the Ricci-flat datum.
 
     ``bundles`` supplies the 2r-1 degree-zero summands; each must be
     nontrivial and primitive for the anticanonical class (equivalently for
-    the scaled base class).  ``diagnostic`` admits t >= 1 and an arbitrary
-    positive ``scale`` override so the residual computation itself can be
-    exercised.
+    the scaled base class).  ``diagnostic`` admits t >= 1 so the residual
+    computation itself can be exercised.
     """
     if flag.picard_rank < 2:
         raise PicardRankOne("the construction needs Picard rank at least 2")
@@ -146,16 +148,12 @@ def build_t_gauduchon(
             f"need an odd number 2r-1 of degree-zero bundles, got {len(bundles)}"
         )
 
-    curvatures = _curvature_classes(flag, anticanonical_class(flag), bundles, nontrivial=True)
+    reference = _reference_weights(flag, anticanonical_class(flag))
+    curvatures = _curvature_classes(flag, reference, bundles, nontrivial=True)
     index = fano_index(flag)
-    if scale is None:
-        # at t >= 1 (diagnostic only) the closed-form scale degenerates; any
-        # positive base scale exposes the same nonzero residual
-        scale = _scale(flag, k, t, index) if t < 1 else Fraction(1)
-    else:
-        scale = Fraction(scale)
-        if scale <= 0:
-            raise InvalidParameter("scale override must be positive")
+    # at t >= 1 (diagnostic only) the closed-form scale degenerates; any
+    # positive base scale exposes the same nonzero residual
+    scale = _scale(flag, k, t, index) if t < 1 else Fraction(1)
 
     ell = flag.anticanonical
     omega0 = InvariantClass(1, tuple(scale * l for l in ell))
@@ -175,8 +173,9 @@ def verify_ricci_flat(datum: GauduchonDatum) -> InvariantClass:
     """
     residual = ricci_class(datum.flag)
     factor = (datum.t - 1) / 2
+    reference = _reference_weights(datum.flag, datum.omega0)
     for psi_j in datum.psi:
-        value, _ = lefschetz_contraction(datum.flag, datum.omega0, psi_j)
+        value = _contraction(datum.flag, reference, psi_j)
         residual = residual + psi_j.scaled(factor * value)
     return residual
 
@@ -214,19 +213,18 @@ def build_balanced(
     """Assemble and validate the balanced datum over an arbitrary Kahler class."""
     if flag.picard_rank < 2:
         raise PicardRankOne("the construction needs Picard rank at least 2")
-    _require_kahler(flag, omega0)
+    reference = _reference_weights(flag, omega0)
     if len(bundles) % 2 != 0 or not bundles:
         raise OddCount(
             f"need a positive even number 2r of degree-zero bundles, got {len(bundles)}"
         )
-    return BalancedDatum(flag, omega0, _curvature_classes(flag, omega0, bundles, nontrivial=False))
+    return BalancedDatum(flag, omega0, _curvature_classes(flag, reference, bundles, nontrivial=False))
 
 
 def verify_coclosed(datum: BalancedDatum) -> tuple[Fraction, ...]:
     """Contractions of the curvature classes; the zero vector certifies coclosedness."""
-    return tuple(
-        lefschetz_contraction(datum.flag, datum.omega0, psi_j)[0] for psi_j in datum.psi
-    )
+    reference = _reference_weights(datum.flag, datum.omega0)
+    return tuple(_contraction(datum.flag, reference, psi_j) for psi_j in datum.psi)
 
 
 def lee_form_coefficients(
@@ -240,10 +238,10 @@ def lee_form_coefficients(
     2j-1 receives the contraction of the even partner and slot 2j minus the
     contraction of the odd one.
     """
-    _require_kahler(flag, omega0)
+    reference = _reference_weights(flag, omega0)
     if len(psi) % 2 != 0:
         raise OddCount(f"need an even number of curvature classes, got {len(psi)}")
-    values = [lefschetz_contraction(flag, omega0, p)[0] for p in psi]
+    values = [_contraction(flag, reference, p) for p in psi]
     out: list[Fraction] = []
     for j in range(0, len(psi), 2):
         out.append(values[j + 1])

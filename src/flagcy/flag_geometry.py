@@ -10,10 +10,15 @@ All invariants are linear in the class through the integer pairings
 ``P[beta][a] = <varpi_a, beta_coroot>`` of the Picard generators with the
 positive roots ``beta`` not supported on ``I``.  ``make_flag`` computes that
 table once per flag, with the Weyl row ``<rho, beta_coroot>`` (the coroot
-heights) and the anticanonical coefficients.  Contraction against a Kahler
-class, the eigenvalue list of the associated endomorphism, volumes and
-degrees all clear a class's denominators once, pair the integer vector with
-the table, and form one exact rational per result.
+heights) and the anticanonical coefficients.  A class is paired with the
+table by clearing its denominators once and pairing the integer vector.
+
+A Kahler reference ``omega`` is checked and paired once per call, into its
+volume and the integer contraction weights ``W[b] = lcm(p) / p[b]`` of its
+pairings ``p``, with one rational scale.  Every comparison of a class with
+``omega`` reads those weights: the contraction is the scale times the sum of
+the class's pairings against ``W``, the eigenvalues are its terms, and the
+degree is ``(n-1)!`` times volume times contraction.
 """
 
 from __future__ import annotations
@@ -172,11 +177,6 @@ def is_kahler(flag: ParabolicFlag, c: InvariantClass) -> bool:
     return all(v > 0 for v in c.coeffs)
 
 
-def _require_kahler(flag: ParabolicFlag, omega: InvariantClass) -> None:
-    if not is_kahler(flag, omega):
-        raise NotKahler("reference class must have strictly positive coefficients")
-
-
 def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
     """Integer pairings of a class with the table, and the denominator cleared.
 
@@ -191,6 +191,35 @@ def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
     return [sum(row[i] * x for i, x in ints) for row in flag.pairing_table], d
 
 
+# a paired Kahler reference: (volume, contraction weights, their scale)
+_Reference = tuple[Fraction, list[int], Fraction]
+
+
+def _reference_weights(flag: ParabolicFlag, omega: InvariantClass) -> _Reference:
+    """Check a Kahler reference and pair it with the table once.
+
+    Returns ``(vol, W, scale)``: the rational part of the volume, and the
+    integer contraction weights ``W[b] = lcm(p) / p[b]`` of the integer
+    pairings ``p`` of ``omega``'s cleared class with their scale, so that the
+    contraction of a class is ``scale * sum_b <psi, beta_coroot> * W[b]``.
+    The weights depend only on the ray of ``omega``.
+    """
+    if not is_kahler(flag, omega):
+        raise NotKahler("reference class must have strictly positive coefficients")
+    p_omega, d = _pairings(flag, omega)
+    common = lcm(*p_omega)
+    vol = Fraction(prod(p_omega), d**flag.dim_c * prod(flag.weyl_row))
+    return vol, [common // w for w in p_omega], Fraction(d, common)
+
+
+def _contraction(flag: ParabolicFlag, reference: _Reference, psi: InvariantClass) -> Fraction:
+    """Rational part of the contraction of ``psi`` against a paired reference."""
+    _, weights, scale = reference
+    p_psi, d_psi = _pairings(flag, psi)
+    total = sum(x * w for x, w in zip(p_psi, weights))
+    return Fraction(total * scale.numerator, d_psi * scale.denominator)
+
+
 def lefschetz_contraction(
     flag: ParabolicFlag, omega0: InvariantClass, psi: InvariantClass
 ) -> tuple[Fraction, int]:
@@ -200,13 +229,8 @@ def lefschetz_contraction(
     ``psi.two_pi_power - omega0.two_pi_power``.  Linear in ``psi``, and equal
     to the complex dimension when ``psi == omega0``.
     """
-    _require_kahler(flag, omega0)
-    p_omega, d_omega = _pairings(flag, omega0)
-    p_psi, d_psi = _pairings(flag, psi)
-    # sum of p_psi/p_omega over the common denominator of the p_omega
-    common = lcm(*p_omega)
-    total = sum(x * (common // w) for x, w in zip(p_psi, p_omega))
-    return Fraction(total * d_omega, common * d_psi), psi.two_pi_power - omega0.two_pi_power
+    reference = _reference_weights(flag, omega0)
+    return _contraction(flag, reference, psi), psi.two_pi_power - omega0.two_pi_power
 
 
 def endomorphism_eigenvalues(
@@ -217,10 +241,9 @@ def endomorphism_eigenvalues(
     The entries sum to the Lefschetz contraction; their common 2*pi power is
     ``psi.two_pi_power - omega0.two_pi_power``.
     """
-    _require_kahler(flag, omega0)
-    p_omega, d_omega = _pairings(flag, omega0)
+    _, weights, scale = _reference_weights(flag, omega0)
     p_psi, d_psi = _pairings(flag, psi)
-    return tuple(Fraction(x * d_omega, w * d_psi) for x, w in zip(p_psi, p_omega))
+    return tuple(scale * Fraction(x * w, d_psi) for x, w in zip(p_psi, weights))
 
 
 def volume(flag: ParabolicFlag, omega: InvariantClass) -> tuple[Fraction, int]:
@@ -230,37 +253,18 @@ def volume(flag: ParabolicFlag, omega: InvariantClass) -> tuple[Fraction, int]:
     class pairing divided by the Weyl-vector pairing; the 2*pi power is
     ``omega.two_pi_power * dim_c``.
     """
-    _require_kahler(flag, omega)
-    p_omega, d = _pairings(flag, omega)
-    n = flag.dim_c
-    return Fraction(prod(p_omega), d**n * prod(flag.weyl_row)), omega.two_pi_power * n
-
-
-def _degree_weights(flag: ParabolicFlag, omega: InvariantClass) -> tuple[list[int], int]:
-    """Integer weights ``W`` and denominator ``D`` for degrees against ``omega``.
-
-    The degree ``(n-1)! * contraction * volume`` of a class ``psi`` equals
-    ``sum_b <psi, beta_coroot> * W[b] / D``: ``W[b]`` is ``(n-1)!`` times the
-    product of the omega pairings over the other roots, ``D`` collects the
-    Weyl row and the cleared denominator of ``omega``.
-    """
-    _require_kahler(flag, omega)
-    p_omega, d = _pairings(flag, omega)
-    n = flag.dim_c
-    whole = factorial(n - 1) * prod(p_omega)
-    return [whole // w for w in p_omega], d ** (n - 1) * prod(flag.weyl_row)
+    return _reference_weights(flag, omega)[0], omega.two_pi_power * flag.dim_c
 
 
 def _degrees(
     flag: ParabolicFlag, classes: Iterable[InvariantClass], omega: InvariantClass
 ) -> Iterator[tuple[Fraction, int]]:
-    """Degrees of bundle classes against one Kahler class, with the weights built once."""
-    weights, denominator = _degree_weights(flag, omega)
+    """Degrees ``(n-1)! * volume * contraction`` against one Kahler class, paired once."""
+    reference = _reference_weights(flag, omega)
+    unit = factorial(flag.dim_c - 1) * reference[0]
     for c in classes:
-        p_bundle, d = _pairings(flag, c)
-        total = sum(x * w for x, w in zip(p_bundle, weights))
         power = c.two_pi_power - omega.two_pi_power + omega.two_pi_power * flag.dim_c
-        yield Fraction(total, d * denominator), power
+        yield unit * _contraction(flag, reference, c), power
 
 
 def degree(

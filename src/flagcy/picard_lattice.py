@@ -1,9 +1,11 @@
 """Degree-zero Picard lattice of a flag variety.
 
 Fixing an integral Kahler class, the degree of each Picard generator against
-it is an integer; all of them come from one pass over the flag's pairing
-table, and dividing the vector of those integers by its GCD gives the
-primitive pairing vector ``q``.  Picking a pivot generator produces the
+it is an integer: one exact scalar, ``(n-1)!`` times the volume times the
+contraction scale, times the column sum of the flag's pairing table against
+the class's contraction weights.  Dividing the column sums by their GCD gives
+the primitive pairing vector ``q``, and the scalar times that GCD is ``tau``,
+the GCD of the degrees.  Picking a pivot generator produces the
 classical two-term degree-zero bundles
 
     xi_alpha = O_gamma(-q_alpha) (x) O_alpha(q_gamma),  alpha != gamma,
@@ -23,16 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, PicardRankOne, _integer
-from .flag_geometry import (
-    InvariantClass,
-    ParabolicFlag,
-    _degree_weights,
-    _require_kahler,
-)
+from .flag_geometry import InvariantClass, ParabolicFlag, _reference_weights
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,8 @@ class PrimitiveBasis:
     """Pivot data and the two-term degree-zero generators for one flag.
 
     ``q`` is indexed by the flag's Picard directions and has GCD one; ``tau``
-    is the GCD that was divided out of the raw pairing integers.
+    is the GCD of the generators' degrees against the minimal integral
+    multiple of the class, so ``tau * q[a]`` is the degree of generator ``a``.
     """
 
     pivot_gamma: int
@@ -86,22 +84,21 @@ def primitive_basis(
     """
     if flag.picard_rank < 2:
         raise PicardRankOne("degree-zero lattice is trivial for Picard rank one")
-    _require_kahler(flag, omega0)
+    vol, weights, scale = _reference_weights(flag, _integral_representative(flag, omega0))
     if gamma is None:
         gamma = flag.complement[0]
+    gamma = _integer(gamma, IndexOutOfRange, "pivot index")
     if gamma not in flag.complement:
         raise IndexOutOfRange(f"pivot alpha_{gamma} is not a Picard direction of this flag")
 
-    # degrees of all Picard generators in one pass down the table's columns
-    weights, denominator = _degree_weights(flag, _integral_representative(flag, omega0))
-    pairings = []
-    for a, column in zip(flag.complement, zip(*flag.pairing_table)):
-        value = sum(p * w for p, w in zip(column, weights))
-        if value % denominator:
-            raise AssertionError(f"degree of alpha_{a} is {value}/{denominator}, not an integer")
-        pairings.append(value // denominator)
-    tau = gcd(*pairings)
-    q = tuple(p // tau for p in pairings)
+    # the degree of generator a is (n-1)! * vol * scale * sums[a]: one exact
+    # scalar times an integer column sum of the table against the weights
+    sums = [sum(p * w for p, w in zip(column, weights)) for column in zip(*flag.pairing_table)]
+    g = gcd(*sums)
+    q = tuple(v // g for v in sums)
+    tau = factorial(flag.dim_c - 1) * vol * scale * g
+    if tau.denominator != 1:
+        raise AssertionError(f"degree gcd of the Picard generators is {tau}, not an integer")
 
     idx = {a: i for i, a in enumerate(flag.complement)}
     q_gamma = q[idx[gamma]]
@@ -113,7 +110,7 @@ def primitive_basis(
         coeffs[idx[gamma]] = -q[idx[a]]
         coeffs[idx[a]] = q_gamma
         basis.append(LineBundleClass(tuple(coeffs)))
-    return PrimitiveBasis(gamma, q, tau, tuple(basis))
+    return PrimitiveBasis(gamma, q, tau.numerator, tuple(basis))
 
 
 def integer_combination(

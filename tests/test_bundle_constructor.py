@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import flagcy.flag_geometry as flag_geometry
 from flagcy import (
     BalancedDatum,
     InvalidParameter,
@@ -61,6 +63,9 @@ def test_ricci_flat_scale_rejects_bad_parameters():
         ricci_flat_scale(flag, 1, F(3, 2))
     with pytest.raises(InvalidParameter):
         ricci_flat_scale(flag, 1.5, 0)  # not truncated to k = 1
+    for t in (float("nan"), float("inf"), "x"):
+        with pytest.raises(InvalidParameter):
+            ricci_flat_scale(flag, 1, t)
 
 
 def test_build_t_gauduchon_a2():
@@ -90,6 +95,9 @@ def test_build_t_gauduchon_rejections():
         build_t_gauduchon(flag, 1.7, F(0), [xi])  # not truncated to k = 1
     with pytest.raises(InvalidParameter):
         build_t_gauduchon(flag, 1, F(1), [xi])
+    for t in (float("nan"), float("inf"), "x"):
+        with pytest.raises(InvalidParameter):
+            build_t_gauduchon(flag, 1, t, [xi], diagnostic=True)
     with pytest.raises(InvalidParameter):
         build_t_gauduchon(flag, 1, F(0), [xi, xi])  # even count
     with pytest.raises(PicardRankOne):
@@ -106,7 +114,7 @@ def test_verify_ricci_flat_reports_scale_mismatch():
     flag = flag_of("A", 2)
     bundles = degree_zero_bundles(flag, odd=True)
     good = build_t_gauduchon(flag, 1, F(-1), bundles)
-    doubled = build_t_gauduchon(flag, 1, F(-1), bundles, scale=2 * good.scale, diagnostic=True)
+    doubled = replace(good, scale=2 * good.scale, omega0=good.omega0.scaled(2))
     assert verify_ricci_flat(doubled) == ricci_class(flag).scaled(F(1, 2))
 
 
@@ -217,3 +225,38 @@ def test_lee_form_coefficients():
         lee_form_coefficients(flag, [theta], theta)
     with pytest.raises(NotKahler):
         lee_form_coefficients(flag, [theta, theta], class_from_coeffs(flag, [0, 1]))
+
+
+def test_each_call_pairs_its_reference_once(monkeypatch):
+    # the reference is checked and paired once per call, whatever the number
+    # of bundles; every other pairing is one of the call's curvature classes
+    paired = []
+    original = flag_geometry._pairings
+
+    def counted(flag, c):
+        paired.append(c)
+        return original(flag, c)
+
+    monkeypatch.setattr(flag_geometry, "_pairings", counted)
+    flag = flag_of("A", 4)
+    omega = class_from_coeffs(flag, [1, 2, 3, 4])
+    bundles = list(primitive_basis(flag, omega).basis)
+    bundles.append(bundles[0].scaled(2))
+    theta = anticanonical_class(flag)
+    odd = degree_zero_bundles(flag, odd=True)
+    gauduchon = build_t_gauduchon(flag, 1, F(-1), odd)
+    balanced = build_balanced(flag, omega, bundles)
+    calls = [
+        (lambda: build_balanced(flag, omega, bundles), omega, len(bundles)),
+        (lambda: verify_coclosed(balanced), omega, len(balanced.psi)),
+        (lambda: lee_form_coefficients(flag, balanced.psi, omega), omega, len(balanced.psi)),
+        (lambda: build_t_gauduchon(flag, 1, F(-1), odd), theta, len(odd)),
+        (lambda: verify_ricci_flat(gauduchon), gauduchon.omega0, len(gauduchon.psi)),
+        (lambda: lee_form_coefficients(flag, gauduchon.psi, gauduchon.omega0),
+         gauduchon.omega0, len(gauduchon.psi)),
+    ]
+    for call, reference, classes in calls:
+        paired.clear()
+        call()
+        assert paired.count(reference) == 1
+        assert len(paired) == 1 + classes

@@ -92,13 +92,13 @@ def test_primitive_basis_a3(capsys):
 
 def test_primitive_basis_pairs_every_generator_with_one_weight_vector(capsys, monkeypatch):
     built = []
-    original = flag_geometry._degree_weights
+    original = flag_geometry._reference_weights
 
     def counted(flag, omega):
         built.append(omega)
         return original(flag, omega)
 
-    monkeypatch.setattr(flag_geometry, "_degree_weights", counted)
+    monkeypatch.setattr(flag_geometry, "_reference_weights", counted)
     code, report = run_json(capsys, "primitive-basis", "A", "6", "--omega0=1,2,3,4,5,6")
     assert code == 0
     assert len(report["results"]["degrees"]) == 5

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 import pytest
 
@@ -20,6 +20,7 @@ from flagcy import (
     is_kahler,
     lefschetz_contraction,
     make_flag,
+    primitive_basis,
     ricci_class,
     volume,
 )
@@ -319,3 +320,13 @@ def test_table_invariants_match_fraction_reference():
         assert degree(flag, psi, omega) == (
             factorial(n - 1) * lam * vol, power + omega.two_pi_power * n
         )
+        if rho >= 2:
+            # tau * q_a is the degree of the a-th unit class against the
+            # minimal integral multiple of omega
+            pb = primitive_basis(flag, omega)
+            w_int = [lcm(*(c.denominator for c in omega.coeffs)) * y for y in w]
+            vol_int = prod(y / h for y, h in zip(w_int, heights))
+            for i in range(rho):
+                unit = InvariantClass(0, tuple(F(int(j == i)) for j in range(rho)))
+                lam_unit = sum((x / y for x, y in zip(reference_pairings(flag, unit), w_int)), F(0))
+                assert pb.tau * pb.q[i] == factorial(n - 1) * lam_unit * vol_int

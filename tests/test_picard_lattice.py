@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagcy import (
+    IndexOutOfRange,
     InvalidParameter,
     LineBundleClass,
     NotKahler,
@@ -99,6 +100,10 @@ def test_primitive_basis_respects_pivot_choice():
     pb = primitive_basis(flag, anticanonical_class(flag), gamma=2)
     assert pb.pivot_gamma == 2
     assert [b.coeffs for b in pb.basis] == [(1, -1)]
+    pb = primitive_basis(flag, anticanonical_class(flag), gamma=1.0)
+    assert pb.pivot_gamma == 1 and type(pb.pivot_gamma) is int
+    with pytest.raises(IndexOutOfRange):
+        primitive_basis(flag, anticanonical_class(flag), gamma=1.5)
 
 
 def test_is_primitive():
