@@ -68,7 +68,7 @@ from .bundle_constructor import (
 
 __version__ = "0.1.0"
 _LAB_NAMES = ("EigenvalueReport", "check_eigenvalue_formula", "kahler_potential",
-              "norm_sq_fundamental", "numeric_form_at_origin", "unipotent_matrix")
+              "numeric_form_at_origin", "unipotent_matrix")
 
 
 def __getattr__(name):

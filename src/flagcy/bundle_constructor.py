@@ -52,17 +52,15 @@ class GauduchonDatum:
     """Torus-bundle data whose connection-parameter-t Ricci form vanishes.
 
     ``omega0`` is the base Kahler class (2*pi power 1), ``psi`` the 2r
-    curvature classes: the anticanonical direction first, degree-zero classes
-    after it.
+    curvature classes: the anticanonical direction (``k / index`` times the
+    anticanonical class) first, degree-zero classes after it.
     """
 
     flag: ParabolicFlag
-    k: int
     t: Fraction
     scale: Fraction
     omega0: InvariantClass
     psi: tuple[InvariantClass, ...]
-    r: int
 
 
 @dataclass(frozen=True)
@@ -74,12 +72,8 @@ class BalancedDatum:
     psi: tuple[InvariantClass, ...]
 
 
-def _exact_k_t(k, t, t_message: str | None) -> tuple[int, Fraction]:
-    """``k`` and ``t`` as exact numbers, validated once per call.
-
-    ``k`` must be nonzero; ``t >= 1`` raises with ``t_message`` unless that
-    is None (diagnostic mode).
-    """
+def _exact_k_t(k, t) -> tuple[int, Fraction]:
+    """``k`` and ``t`` as exact numbers, validated once per call; ``k`` must be nonzero."""
     k = _integer(k, InvalidParameter, "twist k")
     try:
         t = Fraction(t)
@@ -87,8 +81,6 @@ def _exact_k_t(k, t, t_message: str | None) -> tuple[int, Fraction]:
         raise InvalidParameter(f"connection parameter t must be a rational, got {t!r}") from exc
     if k == 0:
         raise InvalidParameter("twist k must be a nonzero integer")
-    if t_message is not None and t >= 1:
-        raise InvalidParameter(t_message)
     return k, t
 
 
@@ -119,7 +111,9 @@ def _curvature_classes(
 
 def ricci_flat_scale(flag: ParabolicFlag, k: int, t) -> Fraction:
     """The positive factor (1-t)/2 * k^2 * dim / index^2 scaling the base metric."""
-    k, t = _exact_k_t(k, t, "connection parameter t must be < 1")
+    k, t = _exact_k_t(k, t)
+    if t >= 1:
+        raise InvalidParameter("connection parameter t must be < 1")
     return _scale(flag, k, t, fano_index(flag))
 
 
@@ -140,9 +134,9 @@ def build_t_gauduchon(
     """
     if flag.picard_rank < 2:
         raise PicardRankOne("the construction needs Picard rank at least 2")
-    k, t = _exact_k_t(
-        k, t, None if diagnostic else "connection parameter t must be < 1 (use diagnostic mode to bypass)"
-    )
+    k, t = _exact_k_t(k, t)
+    if t >= 1 and not diagnostic:
+        raise InvalidParameter("connection parameter t must be < 1 (use diagnostic mode to bypass)")
     if len(bundles) % 2 != 1:
         raise InvalidParameter(
             f"need an odd number 2r-1 of degree-zero bundles, got {len(bundles)}"
@@ -161,7 +155,7 @@ def build_t_gauduchon(
     if any(c.denominator != 1 for c in psi_first.coeffs):
         raise AssertionError("anticanonical coefficients are not divisible by the index")
     psi = (psi_first,) + curvatures
-    return GauduchonDatum(flag, k, t, scale, omega0, psi, r=(len(bundles) + 1) // 2)
+    return GauduchonDatum(flag, t, scale, omega0, psi)
 
 
 def verify_ricci_flat(datum: GauduchonDatum) -> InvariantClass:
@@ -189,17 +183,11 @@ def verify_c1_trivial(datum: GauduchonDatum) -> Fraction:
     """
     rho = ricci_class(datum.flag)
     first = datum.psi[0]
-    ratio: Fraction | None = None
-    for r_c, f_c in zip(rho.coeffs, first.coeffs):
-        if f_c == 0:
-            if r_c != 0:
-                raise NotProportional("Ricci class is not proportional to the first curvature")
-            continue
-        current = r_c / f_c
-        if ratio is None:
-            ratio = current
-        elif ratio != current:
-            raise NotProportional("Ricci class is not proportional to the first curvature")
+    pairs = tuple(zip(rho.coeffs, first.coeffs))
+    ratio = next((r_c / f_c for r_c, f_c in pairs if f_c), None)
+    # with no nonzero first coefficient, proportionality needs a zero Ricci class
+    if any(r_c != (ratio or 0) * f_c for r_c, f_c in pairs):
+        raise NotProportional("Ricci class is not proportional to the first curvature")
     if ratio is None or rho.two_pi_power != first.two_pi_power:
         raise NotProportional("first curvature class is zero or carries the wrong 2*pi power")
     return ratio

@@ -29,7 +29,6 @@ from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
     _degrees,
-    anticanonical_class,
     class_from_coeffs,
     fano_index,
     make_flag,
@@ -47,21 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise _CliParseError(message)
 
 
-def _parse_parabolic(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
+def _parse_csv(text: str, convert, what: str) -> tuple:
+    """``convert`` applied to each comma-separated part of ``text`` as it stands."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise _CliParseError(f"cannot parse parabolic set {text!r}: {exc}") from exc
-
-
-def _parse_fractions(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        return tuple(convert(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise _CliParseError(f"cannot parse rational vector {text!r}: {exc}") from exc
+        raise _CliParseError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -71,22 +61,28 @@ def _parse_fraction(text: str) -> Fraction:
         raise _CliParseError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
-def _parse_bundle(text: str) -> LineBundleClass:
-    try:
-        return LineBundleClass(tuple(int(part.strip()) for part in text.split(",")))
-    except ValueError as exc:
-        raise _CliParseError(f"cannot parse bundle exponents {text!r}: {exc}") from exc
+def _rational(part: str) -> Fraction:
+    return Fraction(part.strip())
 
 
 def _build_flag(args) -> ParabolicFlag:
     datum = build_root_datum(LieType(args.family, args.rank))
-    return make_flag(datum, _parse_parabolic(args.parabolic))
+    text = args.parabolic.strip()
+    return make_flag(datum, _parse_csv(text, int, "parabolic set") if text else ())
 
 
-def _omega0_from_arg(flag: ParabolicFlag, text: str) -> InvariantClass:
+def _omega0_coeffs(flag: ParabolicFlag, text: str) -> tuple:
+    """Coefficients of ``--omega0``: the anticanonical ones, or parsed rationals."""
     if text.strip() == "anticanonical":
-        return anticanonical_class(flag)
-    return class_from_coeffs(flag, _parse_fractions(text))
+        return flag.anticanonical
+    return _parse_csv(text, _rational, "rational vector")
+
+
+def _bundles(args) -> list[LineBundleClass]:
+    return [
+        LineBundleClass(_parse_csv(text, lambda part: int(part.strip()), "bundle exponents"))
+        for text in args.bundle
+    ]
 
 
 def _frac(value) -> str:
@@ -140,7 +136,7 @@ def _cmd_describe(args) -> dict:
 
 def _cmd_primitive_basis(args) -> dict:
     flag = _build_flag(args)
-    omega0 = _omega0_from_arg(flag, args.omega0)
+    omega0 = class_from_coeffs(flag, _omega0_coeffs(flag, args.omega0))
     pb = primitive_basis(flag, omega0, args.gamma)
     classes = [xi.to_class() for xi in pb.basis]
     degrees = [{"value": _frac(v), "two_pi_power": p} for v, p in _degrees(flag, classes, omega0)]
@@ -155,7 +151,7 @@ def _cmd_primitive_basis(args) -> dict:
 
 def _cmd_gauduchon(args) -> dict:
     flag = _build_flag(args)
-    bundles = [_parse_bundle(text) for text in args.bundle]
+    bundles = _bundles(args)
     datum = build_t_gauduchon(
         flag, args.k, _parse_fraction(args.t), bundles, diagnostic=args.diagnostic
     )
@@ -175,9 +171,8 @@ def _cmd_gauduchon(args) -> dict:
 
 def _cmd_balanced(args) -> dict:
     flag = _build_flag(args)
-    omega0 = _omega0_from_arg(flag, args.omega0)
-    bundles = [_parse_bundle(text) for text in args.bundle]
-    datum = build_balanced(flag, omega0, bundles)
+    omega0 = class_from_coeffs(flag, _omega0_coeffs(flag, args.omega0))
+    datum = build_balanced(flag, omega0, _bundles(args))
     coclosed = verify_coclosed(datum)
     lee = lee_form_coefficients(flag, datum.psi, datum.omega0)
     return {
@@ -192,11 +187,8 @@ def _cmd_balanced(args) -> dict:
 def _cmd_verify_numeric(args) -> dict:
     from .potential_lab import check_eigenvalue_formula  # numpy loads only here
     flag = _build_flag(args)
-    if args.omega0.strip() == "anticanonical":
-        omega_coeffs = [Fraction(l) for l in flag.anticanonical]
-    else:
-        omega_coeffs = list(_parse_fractions(args.omega0))
-    psi_coeffs = list(_parse_fractions(args.psi))
+    omega_coeffs = _omega0_coeffs(flag, args.omega0)
+    psi_coeffs = _parse_csv(args.psi, _rational, "rational vector")
     report = check_eigenvalue_formula(
         flag, omega_coeffs, psi_coeffs, step=args.step, tol=args.tol
     )
@@ -221,16 +213,12 @@ _HANDLERS = {
 
 def _text_lines(value, prefix: str = "") -> list[str]:
     if isinstance(value, dict):
-        lines = []
-        for key in value:
-            lines.extend(_text_lines(value[key], f"{prefix}.{key}" if prefix else str(key)))
-        return lines
-    if isinstance(value, list):
-        lines = []
-        for i, item in enumerate(value):
-            lines.extend(_text_lines(item, f"{prefix}[{i}]"))
-        return lines
-    return [f"{prefix} = {value}"]
+        children = [(f"{prefix}.{key}" if prefix else str(key), item) for key, item in value.items()]
+    elif isinstance(value, list):
+        children = [(f"{prefix}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return [f"{prefix} = {value}"]
+    return [line for path, item in children for line in _text_lines(item, path)]
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -312,12 +300,7 @@ _parser = functools.cache(build_parser)  # parse_args keeps no state, so one par
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except _CliParseError as exc:
-        print(f"flagcy: {exc}", file=sys.stderr)
-        return 1
-
-    report = {"command": args.command, "inputs": _inputs_echo(args)}
-    try:
+        report = {"command": args.command, "inputs": _inputs_echo(args)}
         results = _HANDLERS[args.command](args)
     except _CliParseError as exc:
         print(f"flagcy: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimensionMismatch, IndexOutOfRange, NotKahler, _integer
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NotKahler, _integer
 from .root_system import PositiveRoot, RootDatum, _coroot_pairing_with_simple
 
 
@@ -110,16 +110,23 @@ class InvariantClass:
     """(2*pi)^two_pi_power times a rational vector over the Picard basis.
 
     The zero vector is normalized to power 0, so structural equality of the
-    dataclass is exactly equality of classes.
+    dataclass is exactly equality of classes.  Non-rational coefficients and a
+    non-integral power raise InvalidParameter.
     """
 
     two_pi_power: int
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        if all(c == 0 for c in self.coeffs):
-            object.__setattr__(self, "two_pi_power", 0)
+        try:
+            coeffs = tuple(Fraction(c) for c in self.coeffs)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise InvalidParameter(f"coefficients must be rationals, got {self.coeffs!r}") from exc
+        power = self.two_pi_power
+        if not isinstance(power, int):
+            power = _integer(power, InvalidParameter, "power of 2*pi")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "two_pi_power", power if any(coeffs) else 0)
 
     @property
     def is_zero(self) -> bool:
@@ -134,19 +141,22 @@ class InvariantClass:
         return InvariantClass(power, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scaled(self, s) -> "InvariantClass":
-        s = Fraction(s)
+        try:
+            s = Fraction(s)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise InvalidParameter(f"scale factor must be a rational, got {s!r}") from exc
         return InvariantClass(self.two_pi_power, tuple(s * c for c in self.coeffs))
 
-    def times_two_pi(self, k: int = 1) -> "InvariantClass":
-        return InvariantClass(self.two_pi_power + k, self.coeffs)
+    def times_two_pi(self) -> "InvariantClass":
+        return InvariantClass(self.two_pi_power + 1, self.coeffs)
 
 
-def class_from_coeffs(flag: ParabolicFlag, coeffs: Sequence, two_pi_power: int = 0) -> InvariantClass:
+def class_from_coeffs(flag: ParabolicFlag, coeffs: Sequence) -> InvariantClass:
     if len(coeffs) != flag.picard_rank:
         raise DimensionMismatch(
             f"expected {flag.picard_rank} coefficients, got {len(coeffs)}"
         )
-    return InvariantClass(two_pi_power, tuple(Fraction(c) for c in coeffs))
+    return InvariantClass(0, coeffs)
 
 
 def _check_class(flag: ParabolicFlag, c: InvariantClass) -> None:

@@ -8,8 +8,8 @@ to the sum of squared absolute values of the k x k minors of the first k
 columns.  Potentials are (1/2*pi) log of those norms, weighted by the class
 coefficients, so their complex Hessians at the origin can be compared by
 finite differences against the exact pairing-ratio eigenvalues.  A point
-lists its coordinates in the order of ``phi_complement``.  The chart, the
-norms and the potentials take one point or a stack of shape (..., dim_c); a
+lists its coordinates in the order of ``phi_complement``.  The chart and
+the potentials take one point or a stack of shape (..., dim_c); a
 Hessian evaluates the potential once, on the stack of all its distinct
 stencil points, and is Hermitian by construction.
 
@@ -31,7 +31,6 @@ from numpy.typing import ArrayLike
 from .errors import (
     DimensionMismatch,
     IllConditioned,
-    IndexOutOfRange,
     InvalidParameter,
     NotKahler,
     UnsupportedType,
@@ -49,10 +48,13 @@ def _require_type_a(flag: ParabolicFlag) -> None:
 
 
 def _finite_positive(name: str, value) -> float:
-    value = float(value)
-    if not (isfinite(value) and value > 0):
-        raise InvalidParameter(f"{name} must be finite and positive, got {value}")
-    return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameter(f"{name} must be finite and positive, got {value!r}") from exc
+    if not (isfinite(number) and number > 0):
+        raise InvalidParameter(f"{name} must be finite and positive, got {number}")
+    return number
 
 
 def unipotent_matrix(flag: ParabolicFlag, point: ArrayLike) -> np.ndarray:
@@ -71,22 +73,14 @@ def unipotent_matrix(flag: ParabolicFlag, point: ArrayLike) -> np.ndarray:
     return out
 
 
-def norm_sq_fundamental(flag: ParabolicFlag, point: ArrayLike, alpha: int):
-    """Squared norm of the alpha-th fundamental highest-weight vector at cell points.
+def _minor_norm_sq(mat: np.ndarray, alpha: int) -> np.ndarray:
+    """Squared norm of the alpha-th fundamental highest-weight vector at chart matrices.
 
     Equals the sum of squared absolute values of the alpha x alpha minors of
-    the first alpha columns of the chart matrix; it is 1 at the origin and
-    >= 1 everywhere.  A float for one point, an array for a stack of points.
+    the first alpha columns of ``mat``, one batched determinant per row
+    choice; it is 1 at the origin and >= 1 everywhere.
     """
-    _require_type_a(flag)
-    if alpha not in flag.complement:
-        raise IndexOutOfRange(f"alpha_{alpha} is not a Picard direction of this flag")
-    total = _minor_norm_sq(unipotent_matrix(flag, point), alpha)
-    return float(total) if total.ndim == 0 else total
-
-
-def _minor_norm_sq(mat: np.ndarray, alpha: int) -> np.ndarray:
-    rows = combinations(range(mat.shape[-1]), alpha)  # one batched determinant per row choice
+    rows = combinations(range(mat.shape[-1]), alpha)
     return sum(np.abs(np.linalg.det(mat[..., list(r), :alpha])) ** 2 for r in rows)
 
 
@@ -186,8 +180,8 @@ def check_eigenvalue_formula(
     _require_type_a(flag)
     step = _finite_positive("step", step)
     tol = _finite_positive("tol", tol)
-    omega = class_from_coeffs(flag, [Fraction(c) for c in omega_coefficients])
-    psi = class_from_coeffs(flag, [Fraction(c) for c in psi_coefficients])
+    omega = class_from_coeffs(flag, omega_coefficients)
+    psi = class_from_coeffs(flag, psi_coefficients)
     if any(c <= 0 for c in omega.coeffs):
         raise NotKahler("metric coefficients must be strictly positive")
     exact = tuple(sorted(endomorphism_eigenvalues(flag, omega, psi)))

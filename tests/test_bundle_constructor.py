@@ -7,9 +7,11 @@ import flagcy.flag_geometry as flag_geometry
 from flagcy import (
     BalancedDatum,
     InvalidParameter,
+    InvariantClass,
     LineBundleClass,
     NotKahler,
     NotPrimitive,
+    NotProportional,
     OddCount,
     PicardRankOne,
     TrivialBundle,
@@ -72,7 +74,7 @@ def test_build_t_gauduchon_a2():
     flag = flag_of("A", 2)
     datum = build_t_gauduchon(flag, 1, F(-1), degree_zero_bundles(flag, odd=True))
     assert datum.scale == F(3, 4)
-    assert datum.r == 1
+    assert len(datum.psi) == 2
     assert datum.omega0.two_pi_power == 1
     assert datum.omega0.coeffs == (F(3, 2), F(3, 2))
     assert datum.psi[0].two_pi_power == 1
@@ -131,6 +133,21 @@ def test_verify_c1_trivial_values():
     assert verify_c1_trivial(build_t_gauduchon(flag, -2, F(0), bundles)) == -1
     index = fano_index(flag)
     assert verify_c1_trivial(build_t_gauduchon(flag, index, F(0), bundles)) == 1
+
+
+def test_verify_c1_trivial_rejections():
+    flag = flag_of("A", 2)
+    datum = build_t_gauduchon(flag, 1, F(-1), degree_zero_bundles(flag, odd=True))
+
+    def first(power, coeffs):
+        return replace(datum, psi=(InvariantClass(power, coeffs),) + datum.psi[1:])
+
+    for power, coeffs in [(1, (1, 0)), (1, (1, 2)), (1, (0, 0)), (0, (1, 2))]:
+        with pytest.raises(NotProportional, match="not proportional"):
+            verify_c1_trivial(first(power, coeffs))
+    with pytest.raises(NotProportional, match="wrong 2\\*pi power"):
+        verify_c1_trivial(first(0, (1, 1)))
+    assert verify_c1_trivial(first(1, (-3, -3))) == F(-2, 3)
 
 
 def test_contraction_scale_relation():

@@ -260,6 +260,29 @@ def test_parse_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+INPUT_PARSE_ERRORS = [
+    (["describe", "A", "2", "--parabolic=1,x"],
+     "cannot parse parabolic set '1,x': invalid literal for int() with base 10: 'x'"),
+    (["primitive-basis", "A", "2", "--omega0=x"],
+     "cannot parse rational vector 'x': Invalid literal for Fraction: 'x'"),
+    (["balanced", "A", "2", "--omega0=1/0,1", "--bundle=-1,1"],
+     "cannot parse rational vector '1/0,1': Fraction(1, 0)"),
+    (["verify-numeric", "A", "2", "--psi=1/2,x"],
+     "cannot parse rational vector '1/2,x': Invalid literal for Fraction: 'x'"),
+    (["balanced", "A", "2", "--bundle=a,1"],
+     "cannot parse bundle exponents 'a,1': invalid literal for int() with base 10: 'a'"),
+    (["gauduchon", "A", "2", "--k", "1", "--t", "x", "--bundle=-1,1"],
+     "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", INPUT_PARSE_ERRORS)
+def test_input_parse_errors_name_the_input(capsys, argv, message):
+    for fmt in ("text", "json"):
+        assert main([*argv, "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", f"flagcy: {message}\n")
+
+
 def test_invalid_rank_is_a_math_error(capsys):
     code, report = run_json(capsys, "describe", "E", "5")
     assert code == 2
@@ -377,7 +400,7 @@ def test_public_names_are_pinned():
         "cartan_matrix", "check_eigenvalue_formula", "class_from_coeffs", "degree",
         "endomorphism_eigenvalues", "fano_index", "integer_combination", "is_kahler",
         "kahler_potential", "lee_form_coefficients", "lefschetz_contraction", "make_flag",
-        "norm_sq_fundamental", "numeric_form_at_origin", "positive_root_count",
+        "numeric_form_at_origin", "positive_root_count",
         "primitive_basis", "ricci_class", "ricci_flat_scale", "symmetrizer",
         "unipotent_matrix", "verify_c1_trivial", "verify_coclosed", "verify_ricci_flat",
         "volume",
@@ -412,7 +435,7 @@ else:
 
 def test_numpy_loads_only_for_the_numeric_lab():
     lab = ("EigenvalueReport", "check_eigenvalue_formula", "kahler_potential",
-           "norm_sq_fundamental", "numeric_form_at_origin", "unipotent_matrix")
+           "numeric_form_at_origin", "unipotent_matrix")
     src = str(Path(flagcy.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = LAZY_LAB_SCRIPT.format(lab=lab)

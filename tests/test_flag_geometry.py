@@ -8,6 +8,7 @@ import pytest
 from flagcy import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidParameter,
     InvariantClass,
     LieType,
     NotKahler,
@@ -293,6 +294,23 @@ def test_invariant_class_arithmetic_guards():
         anticanonical_class(flag) + ricci_class(flag)
     with pytest.raises(DimensionMismatch):
         lefschetz_contraction(flag, anticanonical_class(flag), InvariantClass(0, (F(1),)))
+
+
+def test_non_rational_class_input_is_invalid_parameter():
+    flag = flag_of("A", 2)
+    for bad in (float("nan"), float("inf"), "x", None):
+        with pytest.raises(InvalidParameter):
+            class_from_coeffs(flag, [bad, 1])
+        with pytest.raises(InvalidParameter):
+            InvariantClass(0, (bad, F(1)))
+        with pytest.raises(InvalidParameter):
+            anticanonical_class(flag).scaled(bad)
+    for bad in (1.5, F(1, 2), float("nan"), "1", None):
+        with pytest.raises(InvalidParameter, match="power of 2\\*pi"):
+            InvariantClass(bad, (F(1), F(1)))
+    # an integral power of another numeric type is stored as an int
+    assert InvariantClass(F(2), (F(1), F(0))) == InvariantClass(2, (F(1), F(0)))
+    assert type(InvariantClass(2.0, (F(1), F(0))).two_pi_power) is int
 
 
 def test_table_invariants_match_fraction_reference():

@@ -9,7 +9,6 @@ import flagcy.potential_lab as potential_lab
 from flagcy import (
     DimensionMismatch,
     IllConditioned,
-    IndexOutOfRange,
     InvalidParameter,
     NotKahler,
     UnsupportedType,
@@ -17,13 +16,16 @@ from flagcy import (
     class_from_coeffs,
     kahler_potential,
     lefschetz_contraction,
-    norm_sq_fundamental,
     numeric_form_at_origin,
     unipotent_matrix,
 )
 from conftest import flag_of
 
 F = Fraction
+
+
+def norm_sq(flag, point, alpha):
+    return potential_lab._minor_norm_sq(unipotent_matrix(flag, point), alpha)
 
 
 def test_norm_sq_closed_forms_at_random_points():
@@ -36,13 +38,13 @@ def test_norm_sq_closed_forms_at_random_points():
         point = [z1, z3, z2]  # coordinate order: alpha_1, alpha_2, alpha_1+alpha_2
         expected_1 = 1 + abs(z1) ** 2 + abs(z2) ** 2
         expected_2 = 1 + abs(z3) ** 2 + abs(z1 * z3 - z2) ** 2
-        assert abs(norm_sq_fundamental(flag, point, 1) - expected_1) <= 1e-12 * expected_1
-        assert abs(norm_sq_fundamental(flag, point, 2) - expected_2) <= 1e-12 * expected_2
+        assert abs(norm_sq(flag, point, 1) - expected_1) <= 1e-12 * expected_1
+        assert abs(norm_sq(flag, point, 2) - expected_2) <= 1e-12 * expected_2
 
 
 def test_norm_sq_is_one_at_origin():
     for flag, alpha in [(flag_of("A", 2), 1), (flag_of("A", 3), 2), (flag_of("A", 3, [2]), 3)]:
-        assert norm_sq_fundamental(flag, [0] * flag.dim_c, alpha) == 1.0
+        assert norm_sq(flag, [0] * flag.dim_c, alpha) == 1.0
 
 
 def test_unipotent_matrix_positions():
@@ -66,7 +68,7 @@ def test_parabolic_cell_skips_parabolic_positions():
 def test_non_type_a_rejected():
     flag = flag_of("B", 2)
     with pytest.raises(UnsupportedType):
-        norm_sq_fundamental(flag, [0] * flag.dim_c, 1)
+        norm_sq(flag, [0] * flag.dim_c, 1)
     with pytest.raises(UnsupportedType):
         kahler_potential(flag, [1, 1], [0] * flag.dim_c)
     with pytest.raises(UnsupportedType):
@@ -88,9 +90,7 @@ def test_potential_input_validation():
     with pytest.raises(DimensionMismatch):
         kahler_potential(flag, [1], [0, 0, 0])
     with pytest.raises(DimensionMismatch):
-        norm_sq_fundamental(flag, [0, 0], 1)
-    with pytest.raises(IndexOutOfRange):
-        norm_sq_fundamental(flag_of("A", 2, [2]), [0, 0], 2)
+        norm_sq(flag, [0, 0], 1)
 
 
 def test_numeric_form_projective_line():
@@ -196,7 +196,7 @@ def test_stacked_points_equal_per_point_values():
         points = _random_points(flag, (3, 4), seed=flag.dim_c)
         mats = unipotent_matrix(flag, points)
         potentials = kahler_potential(flag, coeffs, points)
-        norms = {a: norm_sq_fundamental(flag, points, a) for a in flag.complement}
+        norms = {a: norm_sq(flag, points, a) for a in flag.complement}
         assert mats.shape == (3, 4, flag.rank + 1, flag.rank + 1)
         assert potentials.shape == (3, 4)
         for index in np.ndindex(3, 4):
@@ -204,7 +204,7 @@ def test_stacked_points_equal_per_point_values():
             assert np.array_equal(mats[index], unipotent_matrix(flag, point))
             assert potentials[index] == kahler_potential(flag, coeffs, point)
             for a in flag.complement:
-                assert norms[a][index] == norm_sq_fundamental(flag, point, a)
+                assert norms[a][index] == norm_sq(flag, point, a)
 
 
 def test_stacked_points_reject_wrong_trailing_dimension():
@@ -213,7 +213,7 @@ def test_stacked_points_reject_wrong_trailing_dimension():
     with pytest.raises(DimensionMismatch):
         unipotent_matrix(flag, bad)
     with pytest.raises(DimensionMismatch):
-        norm_sq_fundamental(flag, bad, 1)
+        norm_sq(flag, bad, 1)
     with pytest.raises(DimensionMismatch):
         kahler_potential(flag, [1, 1, 1], bad)
 
@@ -279,7 +279,7 @@ def test_singular_metric_hessian_detected(monkeypatch):
 
 def test_step_validation():
     flag = flag_of("A", 2)
-    for bad in (0.0, -1.0, float("nan"), float("inf")):
+    for bad in (0.0, -1.0, float("nan"), float("inf"), "x", None):
         with pytest.raises(InvalidParameter):
             numeric_form_at_origin(flag, [2, 2], step=bad)
         with pytest.raises(InvalidParameter):
@@ -299,6 +299,11 @@ def test_non_finite_coefficients_rejected():
         check_eigenvalue_formula(flag, [F(10**400), 1], [1, 0])
     with pytest.raises(InvalidParameter):
         check_eigenvalue_formula(flag, [2, 2], [F(-(10**400)), 1])
+    for bad in (float("nan"), float("inf"), "x", None):  # not rationals: the exact side rejects them
+        with pytest.raises(InvalidParameter):
+            check_eigenvalue_formula(flag, [bad, 1], [1, 0])
+        with pytest.raises(InvalidParameter):
+            check_eigenvalue_formula(flag, [2, 2], [1, bad])
 
 
 def test_non_finite_hessian_is_ill_conditioned():
