@@ -118,7 +118,7 @@ def _cmd_describe(args) -> dict:
     table = [
         {
             "root": list(beta.root_coords),
-            "coroot": [_frac(c) for c in beta.coroot_coords],
+            "coroot": [str(c) for c in beta.coroot_coords],
             "height": beta.height,
             "off_parabolic": beta in off,
         }

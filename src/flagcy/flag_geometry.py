@@ -29,7 +29,7 @@ from math import factorial, gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NotKahler, _integer
-from .root_system import PositiveRoot, RootDatum, _coroot_pairing_with_simple
+from .root_system import PositiveRoot, RootDatum
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,10 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
     table = tuple(tuple(beta.coroot_coords[a - 1] for a in complement) for beta in phi)
     weyl_row = tuple(sum(beta.coroot_coords) for beta in phi)
     # the anticanonical weight is the sum of the roots in phi, paired with
-    # the simple coroots of the Picard directions
+    # the simple coroots of the Picard directions (columns of the Cartan matrix)
     root_sum = [sum(col) for col in zip(*(beta.root_coords for beta in phi))]
     anticanonical = tuple(
-        _coroot_pairing_with_simple(datum.cartan, root_sum, a - 1) for a in complement
+        sum(m * row[a - 1] for m, row in zip(root_sum, datum.cartan)) for a in complement
     )
     for a, c in zip(complement, anticanonical):
         if c <= 0:

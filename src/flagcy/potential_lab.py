@@ -89,16 +89,13 @@ def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: ArrayLi
 
     Positive coefficients give Kahler potentials; arbitrary rational vectors
     are admitted so that differences of potentials can represent any class.
-    Coefficients must be finite as floats.  A float for one point, an array
-    for a stack of points.
+    Coefficients must be rationals, finite as floats.  A float for one point,
+    an array for a stack of points.
     """
     _require_type_a(flag)
-    if len(coefficients) != flag.picard_rank:
-        raise DimensionMismatch(
-            f"expected {flag.picard_rank} coefficients, got {len(coefficients)}"
-        )
+    exact = class_from_coeffs(flag, coefficients).coeffs
     try:
-        values = [float(c) for c in coefficients]
+        values = [float(c) for c in exact]
     except OverflowError:
         values = [inf]
     if not all(map(isfinite, values)):

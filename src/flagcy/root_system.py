@@ -1,6 +1,10 @@
 """Exact root systems of the simple complex Lie algebras.
 
-Root and coroot coordinates are exact integers.  The coroot coordinates are
+Root and coroot coordinates are exact integers.  Roots are closed under
+root strings: ``beta + alpha_i`` is a root when the alpha_i-string through
+``beta`` reaches down further than ``<beta, alpha_i_coroot>``.  The closure
+carries each root's Cartan row ``(<beta, alpha_j_coroot>)_j`` and reads the
+half square length, hence the coroot, off it.  The coroot coordinates are
 what every higher layer consumes: in the fundamental-weight basis the
 pairing ``<w, beta_coroot>`` is the dot product of ``w`` with the coroot
 coordinates of ``beta``, so ``make_flag`` reads the integer pairing table of
@@ -155,11 +159,6 @@ class RootDatum:
         return self.lie_type.rank
 
 
-def _coroot_pairing_with_simple(cartan, coords: tuple[int, ...], i: int) -> int:
-    # <beta, alpha_i_coroot> for beta given in simple-root coordinates
-    return sum(m * cartan[j][i] for j, m in enumerate(coords))
-
-
 @lru_cache(maxsize=None)
 def build_root_datum(lie_type: LieType) -> RootDatum:
     """Enumerate all positive roots by closing the simple roots under root strings.
@@ -177,30 +176,30 @@ def build_root_datum(lie_type: LieType) -> RootDatum:
                 raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
 
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    # half square length (beta, beta)/2 of every root found so far; along a
-    # string it grows as L(beta + alpha_i) = L(beta) + d_i * (<beta, alpha_i^vee> + 1)
-    half: dict[tuple[int, ...], int] = {s: d[i] for i, s in enumerate(simple)}
-    frontier = list(simple)
+    # Cartan row (<beta, alpha_j^vee>)_j of every root found so far; along a
+    # string it grows by a row of C: row(beta + alpha_i) = row(beta) + C[i]
+    row: dict[tuple[int, ...], tuple[int, ...]] = dict(zip(simple, C))
+    frontier = simple
     while frontier:
         grown = []
         for beta in frontier:
             for i in range(n):
                 # how far the alpha_i-string through beta reaches down
                 down = 0
-                while beta[i] > down and beta[:i] + (beta[i] - down - 1,) + beta[i + 1 :] in half:
+                while beta[i] > down and beta[:i] + (beta[i] - down - 1,) + beta[i + 1 :] in row:
                     down += 1
-                pairing = _coroot_pairing_with_simple(C, beta, i)
-                if down - pairing >= 1:
-                    cand = tuple(m + (1 if j == i else 0) for j, m in enumerate(beta))
-                    if cand not in half:
-                        half[cand] = half[beta] + d[i] * (pairing + 1)
+                if down - row[beta][i] >= 1:
+                    cand = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                    if cand not in row:
+                        row[cand] = tuple(x + y for x, y in zip(row[beta], C[i]))
                         grown.append(cand)
-        frontier = sorted(grown)
+        frontier = grown
 
-    ordered = sorted(half, key=lambda m: (sum(m), tuple(-c for c in m)))
     roots = []
-    for coords in ordered:
-        half_len = half[coords]
+    for coords in sorted(row, key=lambda m: (sum(m), tuple(-c for c in m))):
+        # (beta, alpha_j) = d_j <beta, alpha_j^vee>, so (beta, beta)/2 is read off
+        # the row; the symmetrized Cartan matrix has an even diagonal, so // 2 is exact
+        half_len = sum(m * dj * r for m, dj, r in zip(coords, d, row[coords])) // 2
         if half_len <= 0:
             raise AssertionError(f"bad half square length {half_len} for {coords}")
         if any(coords[j] * d[j] % half_len for j in range(n)):

@@ -290,7 +290,7 @@ def test_step_validation():
 
 def test_non_finite_coefficients_rejected():
     flag = flag_of("A", 2)
-    for bad in ([F(10**400), 1], [1, float("inf")], [float("nan"), 1]):
+    for bad in ([F(10**400), 1], [1, float("inf")], [float("nan"), 1], ["x", 1], [None, 1]):
         with pytest.raises(InvalidParameter):
             kahler_potential(flag, bad, [0, 0, 0])
         with pytest.raises(InvalidParameter):

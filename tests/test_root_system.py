@@ -9,6 +9,7 @@ from flagcy import (
     cartan_matrix,
     make_flag,
     positive_root_count,
+    symmetrizer,
 )
 
 ALL_TYPES = (
@@ -18,6 +19,7 @@ ALL_TYPES = (
     + [("D", n) for n in range(3, 7)]
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
+LARGE_TYPES = [("A", 24), ("B", 12), ("D", 10)]
 
 
 def reflection_closure(datum):
@@ -76,10 +78,25 @@ def test_root_count_matches_closed_form(family, rank):
     assert len(datum.positive_roots) == positive_root_count(datum.lie_type)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)])
+@pytest.mark.parametrize("family,rank", ALL_TYPES + LARGE_TYPES)
 def test_enumeration_matches_reflection_oracle(family, rank):
     datum = build_root_datum(LieType(family, rank))
     assert sorted(r.root_coords for r in datum.positive_roots) == reflection_closure(datum)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES + LARGE_TYPES)
+def test_coroots_are_scaled_roots(family, rank):
+    # beta^vee = 2 beta / (beta, beta): coordinate j is beta_j d_j / L(beta),
+    # with L(beta) = (beta, beta)/2 computed here from the symmetrized Cartan matrix
+    lie_type = LieType(family, rank)
+    C, d = cartan_matrix(lie_type), symmetrizer(lie_type)
+    for beta in build_root_datum(lie_type).positive_roots:
+        b = beta.root_coords
+        half_len = Fraction(
+            sum(b[i] * b[j] * C[i][j] * d[j] for i in range(rank) for j in range(rank)), 2
+        )
+        assert half_len > 0
+        assert beta.coroot_coords == tuple(b[j] * d[j] / half_len for j in range(rank))
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
