@@ -33,6 +33,7 @@ from .errors import (
     PicardRankOne,
     TrivialBundle,
     _integer,
+    _items,
 )
 from .flag_geometry import (
     InvariantClass,
@@ -137,6 +138,7 @@ def build_t_gauduchon(
     k, t = _exact_k_t(k, t)
     if t >= 1 and not diagnostic:
         raise InvalidParameter("connection parameter t must be < 1 (use diagnostic mode to bypass)")
+    bundles = _items(bundles, InvalidParameter, "bundles")
     if len(bundles) % 2 != 1:
         raise InvalidParameter(
             f"need an odd number 2r-1 of degree-zero bundles, got {len(bundles)}"
@@ -202,6 +204,7 @@ def build_balanced(
     if flag.picard_rank < 2:
         raise PicardRankOne("the construction needs Picard rank at least 2")
     reference = _reference_weights(flag, omega0)
+    bundles = _items(bundles, InvalidParameter, "bundles")
     if len(bundles) % 2 != 0 or not bundles:
         raise OddCount(
             f"need a positive even number 2r of degree-zero bundles, got {len(bundles)}"
@@ -227,6 +230,7 @@ def lee_form_coefficients(
     contraction of the odd one.
     """
     reference = _reference_weights(flag, omega0)
+    psi = _items(psi, InvalidParameter, "curvature classes")
     if len(psi) % 2 != 0:
         raise OddCount(f"need an even number of curvature classes, got {len(psi)}")
     values = [_contraction(flag, reference, p) for p in psi]

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integrality check that raises them."""
+"""Exception types shared across the package, and the input checks that raise them."""
 
 
 class FlagcyError(Exception):
@@ -70,3 +70,11 @@ def _integer(value, error: type[FlagcyError], what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _items(value, error: type[FlagcyError], what: str) -> tuple:
+    """``value`` as a tuple; ``error`` instead of a raw TypeError for ``None`` or ``5``."""
+    try:
+        return tuple(value)
+    except TypeError as exc:
+        raise error(f"{what} must be a sequence, got {value!r}") from exc

@@ -14,11 +14,10 @@ heights) and the anticanonical coefficients.  A class is paired with the
 table by clearing its denominators once and pairing the integer vector.
 
 A Kahler reference ``omega`` is checked and paired once per call, into its
-volume and the integer contraction weights ``W[b] = lcm(p) / p[b]`` of its
-pairings ``p``, with one rational scale.  Every comparison of a class with
-``omega`` reads those weights: the contraction is the scale times the sum of
-the class's pairings against ``W``, the eigenvalues are its terms, and the
-degree is ``(n-1)!`` times volume times contraction.
+volume, integer contraction weights ``W[b] = lcm(p) / p[b]`` of its pairings
+``p`` with one rational scale, and column sums ``S[i] = sum_b P[b][i] * W[b]``.
+A class ``x / d`` (integer ``x``) contracts to ``scale * (x . S) / d`` with no
+table pass, and ``(n-1)! * vol * scale * S`` is the degree vector.
 """
 
 from __future__ import annotations
@@ -26,9 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NotKahler, _integer
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidParameter,
+    NotKahler,
+    _integer,
+    _items,
+)
 from .root_system import PositiveRoot, RootDatum
 
 
@@ -76,6 +82,7 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
     Each index may appear once; the pairing table, Weyl row and
     anticanonical coefficients are computed here, once per flag.
     """
+    parabolic = _items(parabolic, IndexOutOfRange, "parabolic set")
     indices = [_integer(i, IndexOutOfRange, "simple-root index") for i in parabolic]
     pset = frozenset(indices)
     for i in indices:
@@ -119,7 +126,7 @@ class InvariantClass:
 
     def __post_init__(self):
         try:
-            coeffs = tuple(Fraction(c) for c in self.coeffs)
+            coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"coefficients must be rationals, got {self.coeffs!r}") from exc
         power = self.two_pi_power
@@ -152,6 +159,7 @@ class InvariantClass:
 
 
 def class_from_coeffs(flag: ParabolicFlag, coeffs: Sequence) -> InvariantClass:
+    coeffs = _items(coeffs, InvalidParameter, "coefficients")
     if len(coeffs) != flag.picard_rank:
         raise DimensionMismatch(
             f"expected {flag.picard_rank} coefficients, got {len(coeffs)}"
@@ -201,33 +209,40 @@ def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
     return [sum(row[i] * x for i, x in ints) for row in flag.pairing_table], d
 
 
-# a paired Kahler reference: (volume, contraction weights, their scale)
-_Reference = tuple[Fraction, list[int], Fraction]
+# a Kahler reference paired once: see _reference_weights
+class _Reference(NamedTuple):
+    vol: Fraction
+    weights: list[int]
+    scale: Fraction
+    sums: list[int]
 
 
 def _reference_weights(flag: ParabolicFlag, omega: InvariantClass) -> _Reference:
     """Check a Kahler reference and pair it with the table once.
 
-    Returns ``(vol, W, scale)``: the rational part of the volume, and the
-    integer contraction weights ``W[b] = lcm(p) / p[b]`` of the integer
-    pairings ``p`` of ``omega``'s cleared class with their scale, so that the
-    contraction of a class is ``scale * sum_b <psi, beta_coroot> * W[b]``.
-    The weights depend only on the ray of ``omega``.
+    Returns the volume's rational part, the integer contraction weights
+    ``W[b] = lcm(p) / p[b]`` of the pairings ``p`` of ``omega``'s cleared
+    class with their scale, and the column sums ``S[i] = sum_b P[b][i] * W[b]``
+    (``W`` and ``S`` depend only on the ray of ``omega``): a class ``x / d``
+    contracts to ``scale * (x . S) / d``, and ``(n-1)! * vol * scale * S`` is
+    the degree vector.
     """
     if not is_kahler(flag, omega):
         raise NotKahler("reference class must have strictly positive coefficients")
     p_omega, d = _pairings(flag, omega)
     common = lcm(*p_omega)
+    weights = [common // w for w in p_omega]
+    sums = [sum(p * w for p, w in zip(column, weights)) for column in zip(*flag.pairing_table)]
     vol = Fraction(prod(p_omega), d**flag.dim_c * prod(flag.weyl_row))
-    return vol, [common // w for w in p_omega], Fraction(d, common)
+    return _Reference(vol, weights, Fraction(d, common), sums)
 
 
 def _contraction(flag: ParabolicFlag, reference: _Reference, psi: InvariantClass) -> Fraction:
-    """Rational part of the contraction of ``psi`` against a paired reference."""
-    _, weights, scale = reference
-    p_psi, d_psi = _pairings(flag, psi)
-    total = sum(x * w for x, w in zip(p_psi, weights))
-    return Fraction(total * scale.numerator, d_psi * scale.denominator)
+    """Rational part of the contraction of ``psi``: ``scale * (x . S) / d``, no table pass."""
+    _check_class(flag, psi)
+    d = lcm(*(v.denominator for v in psi.coeffs))
+    total = sum(v.numerator * (d // v.denominator) * s for v, s in zip(psi.coeffs, reference.sums))
+    return Fraction(total * reference.scale.numerator, d * reference.scale.denominator)
 
 
 def lefschetz_contraction(
@@ -251,7 +266,7 @@ def endomorphism_eigenvalues(
     The entries sum to the Lefschetz contraction; their common 2*pi power is
     ``psi.two_pi_power - omega0.two_pi_power``.
     """
-    _, weights, scale = _reference_weights(flag, omega0)
+    _, weights, scale, _ = _reference_weights(flag, omega0)
     p_psi, d_psi = _pairings(flag, psi)
     return tuple(scale * Fraction(x * w, d_psi) for x, w in zip(p_psi, weights))
 
@@ -271,7 +286,7 @@ def _degrees(
 ) -> Iterator[tuple[Fraction, int]]:
     """Degrees ``(n-1)! * volume * contraction`` against one Kahler class, paired once."""
     reference = _reference_weights(flag, omega)
-    unit = factorial(flag.dim_c - 1) * reference[0]
+    unit = factorial(flag.dim_c - 1) * reference.vol
     for c in classes:
         power = c.two_pi_power - omega.two_pi_power + omega.two_pi_power * flag.dim_c
         yield unit * _contraction(flag, reference, c), power

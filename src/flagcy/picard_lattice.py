@@ -28,7 +28,14 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Sequence
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, PicardRankOne, _integer
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidParameter,
+    PicardRankOne,
+    _integer,
+    _items,
+)
 from .flag_geometry import InvariantClass, ParabolicFlag, _reference_weights
 
 
@@ -42,7 +49,8 @@ class LineBundleClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(_integer(c, InvalidParameter, "bundle exponent") for c in self.coeffs)
+        exponents = _items(self.coeffs, InvalidParameter, "bundle exponents")
+        coeffs = tuple(_integer(c, InvalidParameter, "bundle exponent") for c in exponents)
         object.__setattr__(self, "coeffs", coeffs)
 
     def to_class(self) -> InvariantClass:
@@ -84,7 +92,7 @@ def primitive_basis(
     """
     if flag.picard_rank < 2:
         raise PicardRankOne("degree-zero lattice is trivial for Picard rank one")
-    vol, weights, scale = _reference_weights(flag, _integral_representative(flag, omega0))
+    vol, _, scale, sums = _reference_weights(flag, _integral_representative(flag, omega0))
     if gamma is None:
         gamma = flag.complement[0]
     gamma = _integer(gamma, IndexOutOfRange, "pivot index")
@@ -93,7 +101,6 @@ def primitive_basis(
 
     # the degree of generator a is (n-1)! * vol * scale * sums[a]: one exact
     # scalar times an integer column sum of the table against the weights
-    sums = [sum(p * w for p, w in zip(column, weights)) for column in zip(*flag.pairing_table)]
     g = gcd(*sums)
     q = tuple(v // g for v in sums)
     tau = factorial(flag.dim_c - 1) * vol * scale * g

@@ -60,7 +60,10 @@ def _finite_positive(name: str, value) -> float:
 def unipotent_matrix(flag: ParabolicFlag, point: ArrayLike) -> np.ndarray:
     """Big-cell chart: identity plus one coordinate per off-parabolic root, per point."""
     _require_type_a(flag)
-    points = np.asarray(point, dtype=complex)
+    try:
+        points = np.asarray(point, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameter(f"chart points must be complex numbers, got {point!r}") from exc
     if points.ndim == 0 or points.shape[-1] != flag.dim_c:
         raise DimensionMismatch(
             f"points have shape {points.shape}, the cell has dimension {flag.dim_c}"

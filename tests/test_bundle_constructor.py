@@ -6,6 +6,7 @@ import pytest
 import flagcy.flag_geometry as flag_geometry
 from flagcy import (
     BalancedDatum,
+    DimensionMismatch,
     InvalidParameter,
     InvariantClass,
     LineBundleClass,
@@ -19,6 +20,7 @@ from flagcy import (
     build_balanced,
     build_t_gauduchon,
     class_from_coeffs,
+    degree,
     fano_index,
     lee_form_coefficients,
     lefschetz_contraction,
@@ -244,9 +246,29 @@ def test_lee_form_coefficients():
         lee_form_coefficients(flag, [theta, theta], class_from_coeffs(flag, [0, 1]))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda flag, long: lefschetz_contraction(flag, anticanonical_class(flag), long.to_class()),
+        lambda flag, long: degree(flag, long.to_class(), anticanonical_class(flag)),
+        lambda flag, long: build_balanced(flag, anticanonical_class(flag), [long, long]),
+        lambda flag, long: build_t_gauduchon(flag, 1, F(-1), [long]),
+    ],
+    ids=["lefschetz_contraction", "degree", "build_balanced", "build_t_gauduchon"],
+)
+def test_class_one_coefficient_too_long_is_a_dimension_mismatch(call):
+    # the first rho coefficients form a degree-zero bundle, so a contraction
+    # that truncated the class to the flag's Picard rank would find nothing wrong
+    flag = flag_of("A", 3)
+    xi = degree_zero_bundles(flag, odd=True)[0]
+    with pytest.raises(DimensionMismatch):
+        call(flag, LineBundleClass(xi.coeffs + (1,)))
+
+
 def test_each_call_pairs_its_reference_once(monkeypatch):
     # the reference is checked and paired once per call, whatever the number
-    # of bundles; every other pairing is one of the call's curvature classes
+    # of bundles; the curvature classes contract through its column sums and
+    # are never paired with the table
     paired = []
     original = flag_geometry._pairings
 
@@ -264,16 +286,14 @@ def test_each_call_pairs_its_reference_once(monkeypatch):
     gauduchon = build_t_gauduchon(flag, 1, F(-1), odd)
     balanced = build_balanced(flag, omega, bundles)
     calls = [
-        (lambda: build_balanced(flag, omega, bundles), omega, len(bundles)),
-        (lambda: verify_coclosed(balanced), omega, len(balanced.psi)),
-        (lambda: lee_form_coefficients(flag, balanced.psi, omega), omega, len(balanced.psi)),
-        (lambda: build_t_gauduchon(flag, 1, F(-1), odd), theta, len(odd)),
-        (lambda: verify_ricci_flat(gauduchon), gauduchon.omega0, len(gauduchon.psi)),
-        (lambda: lee_form_coefficients(flag, gauduchon.psi, gauduchon.omega0),
-         gauduchon.omega0, len(gauduchon.psi)),
+        (lambda: build_balanced(flag, omega, bundles), omega),
+        (lambda: verify_coclosed(balanced), omega),
+        (lambda: lee_form_coefficients(flag, balanced.psi, omega), omega),
+        (lambda: build_t_gauduchon(flag, 1, F(-1), odd), theta),
+        (lambda: verify_ricci_flat(gauduchon), gauduchon.omega0),
+        (lambda: lee_form_coefficients(flag, gauduchon.psi, gauduchon.omega0), gauduchon.omega0),
     ]
-    for call, reference, classes in calls:
+    for call, reference in calls:
         paired.clear()
         call()
-        assert paired.count(reference) == 1
-        assert len(paired) == 1 + classes
+        assert paired == [reference]

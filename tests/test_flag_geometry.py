@@ -11,14 +11,19 @@ from flagcy import (
     InvalidParameter,
     InvariantClass,
     LieType,
+    LineBundleClass,
     NotKahler,
     anticanonical_class,
+    build_balanced,
     build_root_datum,
+    build_t_gauduchon,
     class_from_coeffs,
     degree,
     endomorphism_eigenvalues,
     fano_index,
+    integer_combination,
     is_kahler,
+    lee_form_coefficients,
     lefschetz_contraction,
     make_flag,
     primitive_basis,
@@ -311,6 +316,50 @@ def test_non_rational_class_input_is_invalid_parameter():
     # an integral power of another numeric type is stored as an int
     assert InvariantClass(F(2), (F(1), F(0))) == InvariantClass(2, (F(1), F(0)))
     assert type(InvariantClass(2.0, (F(1), F(0))).two_pi_power) is int
+
+
+def test_invariant_class_coefficients_are_exact_fractions():
+    # a Fraction is kept as it is; every other rational input is converted
+    coeffs = InvariantClass(0, (F(1, 2), 1, "3/4", True)).coeffs
+    assert coeffs == (F(1, 2), F(1), F(3, 4), F(1))
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda flag: make_flag(flag.datum, 5), IndexOutOfRange, id="make_flag-int"),
+        pytest.param(lambda flag: make_flag(flag.datum, None), IndexOutOfRange, id="make_flag-None"),
+        pytest.param(
+            lambda flag: class_from_coeffs(flag, None), InvalidParameter, id="class_from_coeffs-None"
+        ),
+        pytest.param(lambda flag: LineBundleClass(None), InvalidParameter, id="LineBundleClass-None"),
+        pytest.param(lambda flag: LineBundleClass(5), InvalidParameter, id="LineBundleClass-int"),
+        pytest.param(
+            lambda flag: integer_combination(primitive_basis(flag, anticanonical_class(flag)), None),
+            InvalidParameter,
+            id="integer_combination-None",
+        ),
+        pytest.param(
+            lambda flag: lee_form_coefficients(flag, None, anticanonical_class(flag)),
+            InvalidParameter,
+            id="lee_form_coefficients-None",
+        ),
+        pytest.param(
+            lambda flag: build_t_gauduchon(flag, 1, -1, None),
+            InvalidParameter,
+            id="build_t_gauduchon-None",
+        ),
+        pytest.param(
+            lambda flag: build_balanced(flag, anticanonical_class(flag), None),
+            InvalidParameter,
+            id="build_balanced-None",
+        ),
+    ],
+)
+def test_non_iterable_vector_input_is_a_typed_error(call, error):
+    with pytest.raises(error):
+        call(flag_of("A", 2))
 
 
 def test_table_invariants_match_fraction_reference():

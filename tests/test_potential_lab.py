@@ -91,6 +91,11 @@ def test_potential_input_validation():
         kahler_potential(flag, [1], [0, 0, 0])
     with pytest.raises(DimensionMismatch):
         norm_sq(flag, [0, 0], 1)
+    # a chart point that is not numeric at all
+    with pytest.raises(InvalidParameter):
+        unipotent_matrix(flag, "x")
+    with pytest.raises(InvalidParameter):
+        kahler_potential(flag, [1, 1], ["a", "b", "c"])
 
 
 def test_numeric_form_projective_line():
