@@ -101,6 +101,8 @@ def _curvature_classes(
     """
     classes = []
     for j, bundle in enumerate(bundles, start=1):
+        if not isinstance(bundle, LineBundleClass):
+            raise InvalidParameter(f"bundle {j} must be a LineBundleClass, got {bundle!r}")
         c = bundle.to_class()
         if nontrivial and c.is_zero:
             raise TrivialBundle(j)

@@ -28,7 +28,6 @@ from .errors import FlagcyError, UnsupportedType
 from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
-    _degrees,
     class_from_coeffs,
     fano_index,
     make_flag,
@@ -61,10 +60,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise _CliParseError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
-def _rational(part: str) -> Fraction:
-    return Fraction(part.strip())
-
-
 def _build_flag(args) -> ParabolicFlag:
     datum = build_root_datum(LieType(args.family, args.rank))
     text = args.parabolic.strip()
@@ -75,14 +70,11 @@ def _omega0_coeffs(flag: ParabolicFlag, text: str) -> tuple:
     """Coefficients of ``--omega0``: the anticanonical ones, or parsed rationals."""
     if text.strip() == "anticanonical":
         return flag.anticanonical
-    return _parse_csv(text, _rational, "rational vector")
+    return _parse_csv(text, Fraction, "rational vector")
 
 
 def _bundles(args) -> list[LineBundleClass]:
-    return [
-        LineBundleClass(_parse_csv(text, lambda part: int(part.strip()), "bundle exponents"))
-        for text in args.bundle
-    ]
+    return [LineBundleClass(_parse_csv(text, int, "bundle exponents")) for text in args.bundle]
 
 
 def _frac(value) -> str:
@@ -138,8 +130,11 @@ def _cmd_primitive_basis(args) -> dict:
     flag = _build_flag(args)
     omega0 = class_from_coeffs(flag, _omega0_coeffs(flag, args.omega0))
     pb = primitive_basis(flag, omega0, args.gamma)
-    classes = [xi.to_class() for xi in pb.basis]
-    degrees = [{"value": _frac(v), "two_pi_power": p} for v, p in _degrees(flag, classes, omega0)]
+    # degree of xi against the minimal integral multiple of omega0: tau * (q . xi)
+    degrees = [
+        {"value": _frac(pb.tau * sum(a * b for a, b in zip(pb.q, xi.coeffs))), "two_pi_power": 0}
+        for xi in pb.basis
+    ]
     return {
         "pivot": _alpha_key(pb.pivot_gamma),
         "tau": pb.tau,
@@ -188,7 +183,7 @@ def _cmd_verify_numeric(args) -> dict:
     from .potential_lab import check_eigenvalue_formula  # numpy loads only here
     flag = _build_flag(args)
     omega_coeffs = _omega0_coeffs(flag, args.omega0)
-    psi_coeffs = _parse_csv(args.psi, _rational, "rational vector")
+    psi_coeffs = _parse_csv(args.psi, Fraction, "rational vector")
     report = check_eigenvalue_formula(
         flag, omega_coeffs, psi_coeffs, step=args.step, tol=args.tol
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -168,6 +168,8 @@ def class_from_coeffs(flag: ParabolicFlag, coeffs: Sequence) -> InvariantClass:
 
 
 def _check_class(flag: ParabolicFlag, c: InvariantClass) -> None:
+    if not isinstance(c, InvariantClass):
+        raise InvalidParameter(f"expected an InvariantClass, got {c!r}")
     if len(c.coeffs) != flag.picard_rank:
         raise DimensionMismatch(
             f"class has {len(c.coeffs)} coefficients, flag has Picard rank {flag.picard_rank}"
@@ -281,19 +283,10 @@ def volume(flag: ParabolicFlag, omega: InvariantClass) -> tuple[Fraction, int]:
     return _reference_weights(flag, omega)[0], omega.two_pi_power * flag.dim_c
 
 
-def _degrees(
-    flag: ParabolicFlag, classes: Iterable[InvariantClass], omega: InvariantClass
-) -> Iterator[tuple[Fraction, int]]:
-    """Degrees ``(n-1)! * volume * contraction`` against one Kahler class, paired once."""
-    reference = _reference_weights(flag, omega)
-    unit = factorial(flag.dim_c - 1) * reference.vol
-    for c in classes:
-        power = c.two_pi_power - omega.two_pi_power + omega.two_pi_power * flag.dim_c
-        yield unit * _contraction(flag, reference, c), power
-
-
 def degree(
     flag: ParabolicFlag, bundle_class: InvariantClass, omega: InvariantClass
 ) -> tuple[Fraction, int]:
     """Degree of a bundle class against a Kahler class: (n-1)! * contraction * volume."""
-    return next(_degrees(flag, [bundle_class], omega))
+    reference = _reference_weights(flag, omega)
+    value = factorial(flag.dim_c - 1) * reference.vol * _contraction(flag, reference, bundle_class)
+    return value, bundle_class.two_pi_power + (flag.dim_c - 1) * omega.two_pi_power

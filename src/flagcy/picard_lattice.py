@@ -36,7 +36,7 @@ from .errors import (
     _integer,
     _items,
 )
-from .flag_geometry import InvariantClass, ParabolicFlag, _reference_weights
+from .flag_geometry import InvariantClass, ParabolicFlag, _check_class, _reference_weights
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,7 @@ def primitive_basis(
     """
     if flag.picard_rank < 2:
         raise PicardRankOne("degree-zero lattice is trivial for Picard rank one")
+    _check_class(flag, omega0)
     vol, _, scale, sums = _reference_weights(flag, _integral_representative(flag, omega0))
     if gamma is None:
         gamma = flag.complement[0]

@@ -5,7 +5,8 @@ the opposite big cell is the set of block-lower unipotent matrices with one
 complex coordinate per off-parabolic positive root, and the squared norm of
 the highest-weight vector of the k-th fundamental representation pulls back
 to the sum of squared absolute values of the k x k minors of the first k
-columns.  Potentials are (1/2*pi) log of those norms, weighted by the class
+columns, computed by Cauchy-Binet as the Gram determinant of those columns.
+Potentials are (1/2*pi) log of those norms, weighted by the class
 coefficients, so their complex Hessians at the origin can be compared by
 finite differences against the exact pairing-ratio eigenvalues.  A point
 lists its coordinates in the order of ``phi_complement``.  The chart and
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import inf, isfinite, nan, pi
 from typing import Sequence
 
@@ -62,7 +62,7 @@ def unipotent_matrix(flag: ParabolicFlag, point: ArrayLike) -> np.ndarray:
     _require_type_a(flag)
     try:
         points = np.asarray(point, dtype=complex)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"chart points must be complex numbers, got {point!r}") from exc
     if points.ndim == 0 or points.shape[-1] != flag.dim_c:
         raise DimensionMismatch(
@@ -79,12 +79,13 @@ def unipotent_matrix(flag: ParabolicFlag, point: ArrayLike) -> np.ndarray:
 def _minor_norm_sq(mat: np.ndarray, alpha: int) -> np.ndarray:
     """Squared norm of the alpha-th fundamental highest-weight vector at chart matrices.
 
-    Equals the sum of squared absolute values of the alpha x alpha minors of
-    the first alpha columns of ``mat``, one batched determinant per row
-    choice; it is 1 at the origin and >= 1 everywhere.
+    The sum of squared absolute values of the alpha x alpha minors of the
+    first alpha columns of ``mat``, computed by Cauchy-Binet as the Gram
+    determinant ``det(A^H A)`` of those columns, one batched determinant for
+    the whole stack; it is 1 at the origin and >= 1 everywhere.
     """
-    rows = combinations(range(mat.shape[-1]), alpha)
-    return sum(np.abs(np.linalg.det(mat[..., list(r), :alpha])) ** 2 for r in rows)
+    cols = mat[..., :alpha]
+    return np.linalg.det(cols.conj().swapaxes(-1, -2) @ cols).real
 
 
 def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: ArrayLike):

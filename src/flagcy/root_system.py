@@ -49,7 +49,7 @@ class LieType:
     rank: int
 
     def __post_init__(self):
-        if self.family not in _RANK_RANGE:
+        if self.family not in FAMILIES:
             raise InvalidRank(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "rank", _integer(self.rank, InvalidRank, "rank"))
         lo, hi = _RANK_RANGE[self.family]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import flagcy
 import flagcy.cli as cli
 import flagcy.flag_geometry as flag_geometry
+import flagcy.picard_lattice as picard_lattice
 from flagcy.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -98,7 +99,9 @@ def test_primitive_basis_pairs_every_generator_with_one_weight_vector(capsys, mo
         built.append(omega)
         return original(flag, omega)
 
+    # picard_lattice holds its own reference to the function, so count both
     monkeypatch.setattr(flag_geometry, "_reference_weights", counted)
+    monkeypatch.setattr(picard_lattice, "_reference_weights", counted)
     code, report = run_json(capsys, "primitive-basis", "A", "6", "--omega0=1,2,3,4,5,6")
     assert code == 0
     assert len(report["results"]["degrees"]) == 5

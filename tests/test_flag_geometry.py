@@ -5,10 +5,12 @@ from math import factorial, lcm, prod
 
 import pytest
 
+import flagcy
 from flagcy import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
+    InvalidRank,
     InvariantClass,
     LieType,
     LineBundleClass,
@@ -360,6 +362,47 @@ def test_invariant_class_coefficients_are_exact_fractions():
 def test_non_iterable_vector_input_is_a_typed_error(call, error):
     with pytest.raises(error):
         call(flag_of("A", 2))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda f, w: lefschetz_contraction(f, w, 5), InvalidParameter, id="lefschetz-int"),
+        pytest.param(
+            lambda f, w: lefschetz_contraction(f, (1, 1), w), InvalidParameter, id="lefschetz-tuple"
+        ),
+        pytest.param(lambda f, w: degree(f, 5, w), InvalidParameter, id="degree-int"),
+        pytest.param(lambda f, w: volume(f, None), InvalidParameter, id="volume-None"),
+        pytest.param(lambda f, w: is_kahler(f, 5), InvalidParameter, id="is_kahler-int"),
+        pytest.param(
+            lambda f, w: endomorphism_eigenvalues(f, w, "x"), InvalidParameter, id="eigenvalues-str"
+        ),
+        pytest.param(lambda f, w: lee_form_coefficients(f, [5, 6], w), InvalidParameter, id="lee-ints"),
+        pytest.param(lambda f, w: primitive_basis(f, None), InvalidParameter, id="basis-None"),
+        pytest.param(lambda f, w: build_balanced(f, w, [5, 6]), InvalidParameter, id="balanced-ints"),
+        pytest.param(
+            lambda f, w: build_balanced(f, w, [(1, -1), (-1, 1)]), InvalidParameter, id="balanced-tuples"
+        ),
+        pytest.param(
+            lambda f, w: build_t_gauduchon(f, 1, -1, [(-1, 1)]), InvalidParameter, id="gauduchon-tuple"
+        ),
+        pytest.param(
+            lambda f, w: flagcy.unipotent_matrix(f, [10**400, 0, 0]), InvalidParameter, id="chart-huge"
+        ),
+        pytest.param(
+            lambda f, w: flagcy.kahler_potential(f, [1, 1], [10**400, 0, 0]),
+            InvalidParameter,
+            id="potential-huge",
+        ),
+        pytest.param(lambda f, w: LieType(["A"], 2), InvalidRank, id="LieType-list"),
+    ],
+)
+def test_wrong_object_input_is_a_typed_error(call, error):
+    # a non-class, a plain tuple for a bundle, an out-of-range point or an
+    # unhashable family ends in a FlagcyError, never in a raw Python error
+    flag = flag_of("A", 2)
+    with pytest.raises(error):
+        call(flag, anticanonical_class(flag))
 
 
 def test_table_invariants_match_fraction_reference():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import log, pi
 
 import numpy as np
@@ -40,6 +41,25 @@ def test_norm_sq_closed_forms_at_random_points():
         expected_2 = 1 + abs(z3) ** 2 + abs(z1 * z3 - z2) ** 2
         assert abs(norm_sq(flag, point, 1) - expected_1) <= 1e-12 * expected_1
         assert abs(norm_sq(flag, point, 2) - expected_2) <= 1e-12 * expected_2
+
+
+def minor_sum(mats, alpha):
+    """Oracle: squared alpha x alpha minors of the first alpha columns, over every row choice."""
+    rows = combinations(range(mats.shape[-1]), alpha)
+    return sum(np.abs(np.linalg.det(mats[:, list(r), :alpha])) ** 2 for r in rows)
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
+def test_norm_sq_is_the_minor_sum_at_random_points(rank):
+    # Cauchy-Binet: the Gram determinant of the first alpha columns equals
+    # the sum of their squared minors, for every fundamental direction
+    flag = flag_of("A", rank)
+    rng = np.random.default_rng(rank)
+    points = rng.normal(size=(30, flag.dim_c)) + 1j * rng.normal(size=(30, flag.dim_c))
+    mats = unipotent_matrix(flag, points)
+    for alpha in range(1, rank + 1):
+        got = potential_lab._minor_norm_sq(mats, alpha)
+        np.testing.assert_allclose(got, minor_sum(mats, alpha), rtol=1e-10)
 
 
 def test_norm_sq_is_one_at_origin():
