@@ -55,7 +55,7 @@ def _parse_csv(text: str, convert, what: str) -> tuple:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliParseError(f"cannot parse rational {text!r}: {exc}") from exc
 

@@ -5,13 +5,13 @@ the opposite big cell is the set of block-lower unipotent matrices with one
 complex coordinate per off-parabolic positive root, and the squared norm of
 the highest-weight vector of the k-th fundamental representation pulls back
 to the sum of squared absolute values of the k x k minors of the first k
-columns, computed by Cauchy-Binet as the Gram determinant of those columns.
-Potentials are (1/2*pi) log of those norms, weighted by the class
-coefficients, so their complex Hessians at the origin can be compared by
-finite differences against the exact pairing-ratio eigenvalues.  A point
-lists its coordinates in the order of ``phi_complement``.  The chart and
-the potentials take one point or a stack of shape (..., dim_c); a
-Hessian evaluates the potential once, on the stack of all its distinct
+columns, computed by Cauchy-Binet from the singular values of the plane
+those columns span.  Potentials are (1/2*pi) log of those norms, weighted
+by the class coefficients, so their complex Hessians at the origin can be
+compared by finite differences against the exact pairing-ratio eigenvalues.
+A point lists its coordinates in the order of ``phi_complement``.  The
+chart and the potentials take one point or a stack of shape (..., dim_c);
+a Hessian evaluates the potential once, on the stack of all its distinct
 stencil points, and is Hermitian by construction.
 
 Other families raise UnsupportedType: their fundamental representations have
@@ -80,12 +80,20 @@ def _minor_norm_sq(mat: np.ndarray, alpha: int) -> np.ndarray:
     """Squared norm of the alpha-th fundamental highest-weight vector at chart matrices.
 
     The sum of squared absolute values of the alpha x alpha minors of the
-    first alpha columns of ``mat``, computed by Cauchy-Binet as the Gram
-    determinant ``det(A^H A)`` of those columns, one batched determinant for
-    the whole stack; it is 1 at the origin and >= 1 everywhere.
+    first alpha columns ``[L; B]`` of ``mat``.  ``L`` is unit lower
+    triangular, so the columns span the same plane as ``[I; C]`` with
+    ``C = B L^-1``, and by Cauchy-Binet the sum is ``det(I + C^H C)``, the
+    product of ``1 + s^2`` over the singular values ``s`` of ``C``.  No Gram
+    matrix is formed, so the norm keeps its accuracy at large and nearly
+    degenerate points; it is 1 at the origin and >= 1 everywhere.
     """
-    cols = mat[..., :alpha]
-    return np.linalg.det(cols.conj().swapaxes(-1, -2) @ cols).real
+    top, coords = mat[..., :alpha, :alpha], mat[..., alpha:, :alpha].copy()
+    # C L = B column by column, from the last: L has ones on its diagonal
+    for j in range(alpha - 2, -1, -1):
+        coords[..., j] -= (coords[..., j + 1 :] @ top[..., j + 1 :, j, None])[..., 0]
+    if min(coords.shape[-2:]) == 1:  # one singular value: the Frobenius norm
+        return 1.0 + (coords.real**2 + coords.imag**2).sum(axis=(-2, -1))
+    return np.prod(1.0 + np.linalg.svd(coords, compute_uv=False) ** 2, axis=-1)
 
 
 def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: ArrayLike):

@@ -49,14 +49,32 @@ def minor_sum(mats, alpha):
     return sum(np.abs(np.linalg.det(mats[:, list(r), :alpha])) ** 2 for r in rows)
 
 
-@pytest.mark.parametrize("rank", [3, 4, 5, 6])
-def test_norm_sq_is_the_minor_sum_at_random_points(rank):
-    # Cauchy-Binet: the Gram determinant of the first alpha columns equals
-    # the sum of their squared minors, for every fundamental direction
+X, Y = 30000 + 10000j, 20000 - 5000j
+
+#: points where the terms of a Gram determinant reach up to 1e24 times the norm
+LARGE_AND_DEGENERATE = {
+    # A2 coordinates (x, y, z) sit at (1,0), (2,1), (2,0); the minor xy - z cancels
+    2: [
+        [1e4, 1e4, 1e8],
+        [1e4, 1e4, 1e8 + 1],
+        [1e6, 1e6, 1e12],
+        [1, 1e8, 2e8],  # plane coordinates (1e8, 1e8), of rank one
+        [X, Y, X * Y + 1],
+    ],
+    3: [[1e5] * 6, [1, 2e4, 3, 4e4, 5, 6e4]],  # every 2x2 minor of a constant block vanishes
+    4: [[1e4 + 7j * k for k in range(10)]],
+}
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_norm_sq_is_the_minor_sum(rank):
+    # Cauchy-Binet, for every fundamental direction, at seeded Gaussian
+    # points and at large and nearly degenerate ones
     flag = flag_of("A", rank)
     rng = np.random.default_rng(rank)
     points = rng.normal(size=(30, flag.dim_c)) + 1j * rng.normal(size=(30, flag.dim_c))
-    mats = unipotent_matrix(flag, points)
+    extra = np.array(LARGE_AND_DEGENERATE.get(rank, []), dtype=complex).reshape(-1, flag.dim_c)
+    mats = unipotent_matrix(flag, np.concatenate([points, extra]))
     for alpha in range(1, rank + 1):
         got = potential_lab._minor_norm_sq(mats, alpha)
         np.testing.assert_allclose(got, minor_sum(mats, alpha), rtol=1e-10)
@@ -284,6 +302,23 @@ def test_eigenvalue_formula_frozen_cases():
     report = check_eigenvalue_formula(flag, [2, 2], [-1, 1])
     assert report.exact == (F(-1, 2), F(0), F(1, 2))
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "rank, omega, psi",
+    [
+        (3, [1, 1, 1], [-10506, -12888, 16449]),
+        (3, [F(1, 1000)] * 3, [-95, 21, -20]),
+        (3, [100, F(1, 100), 100], [99, -78, 66]),
+        (4, [F(1, 3), F(3, 22), F(1, 13), F(1, 44)], [80, -17, -16, 81]),
+    ],
+)
+def test_deviation_does_not_grow_with_the_class_ratio(rank, omega, psi):
+    # a stencil point that moves one coordinate gets the same rounded norm in
+    # every Picard direction it enters, so the rounding cancels in the ratio
+    # and a large |psi| / omega stays far inside the default tolerance
+    report = check_eigenvalue_formula(flag_of("A", rank), omega, psi)
+    assert report.passed and report.max_deviation < 1e-9
 
 
 def test_eigenvalue_formula_requires_positive_metric():
