@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import os
 import sys
 from fractions import Fraction
-from math import isfinite
+from json.encoder import encode_basestring_ascii as _s
+from math import inf, isfinite
 from typing import Sequence
 
 from .bundle_constructor import (
@@ -216,12 +217,38 @@ def _text_lines(value, prefix: str = "") -> list[str]:
     return [line for path, item in children for line in _text_lines(item, path)]
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, for str-keyed reports."""
+    if isinstance(value, str):
+        return _s(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return ("NaN" if value != value else "Infinity" if value == inf
+                else "-Infinity" if value == -inf else float.__repr__(value))
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        # a leaf list of exact ints or strs is one join; bool is never an exact int
+        parts = (map(int.__repr__, value) if kinds == {int} else map(_s, value) if kinds == {str}
+                 else [_json(item, inner) for item in value])
+        return f"[{inner}{(',' + inner).join(parts)}{indent}]" if value else "[]"
+    if isinstance(value, dict):
+        parts = [f"{_s(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(parts)}{indent}}}" if value else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in _text_lines(report):
-            print(line)
+    text = _json(report) if fmt == "json" else "\n".join(_text_lines(report))
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; stdout now points at devnull so the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

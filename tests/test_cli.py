@@ -335,6 +335,78 @@ def test_json_reports_round_trip_byte_identical(capsys, name):
     assert rendered == out
 
 
+# (argv, exit code): every command, floats, error reports and a non-ASCII echo
+ROUND_TRIP_REQUESTS = [
+    (["describe", "B", "3"], 0),
+    (["describe", "G", "2"], 0),
+    (["describe", "A", "8", "--parabolic", "2,5"], 0),
+    (["describe", "A", "2", "--parabolic", "\u0661"], 0),  # int('\u0661') == 1
+    (["primitive-basis", "A", "4", "--omega0=1,2,3,4"], 0),
+    (["gauduchon", "A", "2", "--k", "1", "--t", "1", "--bundle=-1,1", "--diagnostic"], 0),
+    (["balanced", "A", "3", "--bundle=-14,11,0", "--bundle=-11,0,11"], 0),
+    (["verify-numeric", "A", "3", "--psi=-1,1,0"], 0),
+    (["describe", "E", "9"], 2),
+    (["balanced", "A", "2", "--bundle=-1,1"], 2),
+    (["verify-numeric", "B", "3", "--psi=1,0,-1"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, expected", ROUND_TRIP_REQUESTS, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_every_command_round_trips_byte_identical(capsys, argv, expected):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == expected
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+REPORT_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+REPORT_VALUES = st.recursive(
+    REPORT_LEAVES,
+    lambda children: st.one_of(
+        st.lists(st.integers()),
+        st.lists(st.text()),
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(value=REPORT_VALUES)
+@example(value=[1, True, 2])
+@example(value=[float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324])
+@example(value=10**400)
+@example(value="\u0661")
+@example(value="\x00\n\"\\")
+@example(value="\u00e9")
+@example(value={})
+@example(value=[])
+@example(value={"a": []})
+@example(value=(1, "x", (2.5, None), ()))
+@example(value={"b": 1, "a": {"d": [], "c": False}, "B": ["y", "x"], "": None})
+def test_emitter_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _subprocess_env():
+    src = str(Path(flagcy.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("rank, fmt, read", [("24", "json", 100), ("24", "text", 100), ("2", "json", 0)])
+def test_closed_pipe_keeps_the_exit_code_without_a_traceback(rank, fmt, read):
+    # A24 reports outgrow the pipe, so the write itself meets the closed pipe; the
+    # A2 report fits in the stream buffer, so only the flush after it does
+    argv = [sys.executable, "-m", "flagcy.cli", "describe", "A", rank, "--format", fmt]
+    proc = subprocess.Popen(argv, env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 0
+
+
 def _outcomes(requests):
     outcomes = []
     for argv in requests:
@@ -439,8 +511,7 @@ else:
 def test_numpy_loads_only_for_the_numeric_lab():
     lab = ("EigenvalueReport", "check_eigenvalue_formula", "kahler_potential",
            "numeric_form_at_origin", "unipotent_matrix")
-    src = str(Path(flagcy.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = LAZY_LAB_SCRIPT.format(lab=lab)
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script], env=_subprocess_env(), capture_output=True,
+                          text=True, timeout=120)
     assert done.returncode == 0, done.stderr
