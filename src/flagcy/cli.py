@@ -46,8 +46,28 @@ class _Parser(argparse.ArgumentParser):
         raise _CliParseError(message)
 
 
+def _numeral(text: str, what: str) -> str:
+    """``text`` itself, once every numeral in it is known to be ASCII without ``_``.
+
+    ``int``, ``float`` and ``Fraction`` also read other Unicode digits and
+    ``_`` separators, and the echoed input would then hide the value used.
+    """
+    if not text.isascii() or "_" in text:
+        raise _CliParseError(f"cannot parse {what} {text!r}: numerals must be ASCII, without '_'")
+    return text
+
+
+def _strict(convert, what: str):
+    """An argparse type: ``convert`` of a checked numeral."""
+    def parse(text: str):
+        return convert(_numeral(text, what))
+    parse.__name__ = convert.__name__  # argparse names the type in its own messages
+    return parse
+
+
 def _parse_csv(text: str, convert, what: str) -> tuple:
     """``convert`` applied to each comma-separated part of ``text`` as it stands."""
+    _numeral(text, what)
     try:
         return tuple(convert(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
@@ -56,7 +76,7 @@ def _parse_csv(text: str, convert, what: str) -> tuple:
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return Fraction(_numeral(text, "rational"))
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliParseError(f"cannot parse rational {text!r}: {exc}") from exc
 
@@ -253,7 +273,7 @@ def _emit(report: dict, fmt: str) -> None:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("family", choices=list("ABCDEFG"), help="simple Lie family")
-    sub.add_argument("rank", type=int, help="rank of the family")
+    sub.add_argument("rank", type=_strict(int, "rank"), help="rank of the family")
     sub.add_argument(
         "--parabolic",
         default="",
@@ -276,11 +296,17 @@ def build_parser() -> argparse.ArgumentParser:
         default="anticanonical",
         help="Kahler class: comma-separated rationals over the Picard directions, or 'anticanonical'",
     )
-    p.add_argument("--gamma", type=int, default=None, help="pivot simple-root index (1-based)")
+    p.add_argument(
+        "--gamma", type=_strict(int, "pivot index"), default=None,
+        help="pivot simple-root index (1-based)",
+    )
 
     p = subs.add_parser("gauduchon", help="build and verify a Ricci-flat torus-bundle datum")
     _add_common(p)
-    p.add_argument("--k", type=int, required=True, help="nonzero twist of the anticanonical root")
+    p.add_argument(
+        "--k", type=_strict(int, "twist"), required=True,
+        help="nonzero twist of the anticanonical root",
+    )
     p.add_argument("--t", required=True, help="connection parameter, a rational < 1")
     p.add_argument(
         "--bundle",
@@ -310,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--omega0", default="anticanonical")
     p.add_argument("--psi", required=True, help="class coefficients, e.g. --psi=-1,1")
-    p.add_argument("--step", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--step", type=_strict(float, "step"), default=1e-4)
+    p.add_argument("--tol", type=_strict(float, "tolerance"), default=1e-5)
 
     return parser
 

@@ -270,7 +270,8 @@ def endomorphism_eigenvalues(
     """
     _, weights, scale, _ = _reference_weights(flag, omega0)
     p_psi, d_psi = _pairings(flag, psi)
-    return tuple(scale * Fraction(x * w, d_psi) for x, w in zip(p_psi, weights))
+    num, den = scale.numerator, scale.denominator * d_psi
+    return tuple(Fraction(num * x * w, den) for x, w in zip(p_psi, weights))
 
 
 def volume(flag: ParabolicFlag, omega: InvariantClass) -> tuple[Fraction, int]:

@@ -11,8 +11,10 @@ by the class coefficients, so their complex Hessians at the origin can be
 compared by finite differences against the exact pairing-ratio eigenvalues.
 A point lists its coordinates in the order of ``phi_complement``.  The
 chart and the potentials take one point or a stack of shape (..., dim_c);
-a Hessian evaluates the potential once, on the stack of all its distinct
-stencil points, and is Hermitian by construction.
+the Hessians at the origin of several classes at one step share one
+stack of distinct stencil points, one chart stack on it and one log norm per
+Picard direction any of them uses, and each is Hermitian by construction.
+So a check evaluates one stencil for both of its classes.
 
 Other families raise UnsupportedType: their fundamental representations have
 no minor realization here, and the exact engine already covers them.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import inf, isfinite, nan, pi
 from typing import Sequence
 
@@ -35,7 +38,12 @@ from .errors import (
     NotKahler,
     UnsupportedType,
 )
-from .flag_geometry import ParabolicFlag, class_from_coeffs, endomorphism_eigenvalues
+from .flag_geometry import (
+    InvariantClass,
+    ParabolicFlag,
+    class_from_coeffs,
+    endomorphism_eigenvalues,
+)
 
 _COND_LIMIT = 1e12
 
@@ -96,6 +104,35 @@ def _minor_norm_sq(mat: np.ndarray, alpha: int) -> np.ndarray:
     return np.prod(1.0 + np.linalg.svd(coords, compute_uv=False) ** 2, axis=-1)
 
 
+def _float_coeffs(c: InvariantClass) -> list[float]:
+    """The coefficients of a class as floats; InvalidParameter unless all are finite."""
+    try:
+        values = [float(v) for v in c.coeffs]
+    except OverflowError:
+        values = [inf]
+    if not all(map(isfinite, values)):
+        raise InvalidParameter("potential coefficients must be finite as floats")
+    return values
+
+
+def _potentials(flag: ParabolicFlag, rows: Sequence, point: ArrayLike) -> np.ndarray:
+    """Potentials of float coefficient rows on one chart stack, shape ``(len(rows), ...)``.
+
+    Each row sums its nonzero terms in Picard order; the log of each
+    fundamental norm is taken once, for every row that uses it.
+    """
+    mat = unipotent_matrix(flag, point)
+    logs = {}
+    out = np.zeros((len(rows),) + mat.shape[:-2])
+    for i, values in enumerate(rows):
+        for alpha, c in zip(flag.complement, values):
+            if c != 0.0:
+                if alpha not in logs:
+                    logs[alpha] = np.log(_minor_norm_sq(mat, alpha))
+                out[i] += c / (2.0 * pi) * logs[alpha]
+    return out
+
+
 def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: ArrayLike):
     """Invariant potential: coefficient-weighted (1/2*pi) log of the fundamental norms.
 
@@ -105,19 +142,46 @@ def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: ArrayLi
     an array for a stack of points.
     """
     _require_type_a(flag)
-    exact = class_from_coeffs(flag, coefficients).coeffs
-    try:
-        values = [float(c) for c in exact]
-    except OverflowError:
-        values = [inf]
-    if not all(map(isfinite, values)):
-        raise InvalidParameter("potential coefficients must be finite as floats")
-    mat = unipotent_matrix(flag, point)  # one chart stack for every Picard direction
-    total = np.zeros(mat.shape[:-2])
-    for alpha, c in zip(flag.complement, values):
-        if c != 0.0:
-            total = total + c / (2.0 * pi) * np.log(_minor_norm_sq(mat, alpha))
+    values = _float_coeffs(class_from_coeffs(flag, coefficients))
+    total = _potentials(flag, [values], point)[0]
     return float(total) if total.ndim == 0 else total
+
+
+def _hessians_at_origin(flag: ParabolicFlag, classes: Sequence, h: float) -> np.ndarray:
+    """Complex Hessians at the origin of the classes' potentials, shape ``(len(classes), n, n)``.
+
+    Wirtinger assembly: a quarter of the real Laplacian per coordinate on the
+    diagonal, the standard four-point cross stencils above it.  The 4n
+    diagonal and 8n(n-1) cross stencil points are stacked and every class's
+    potential is evaluated on them in one call, on one chart stack.  Each
+    entry below the diagonal is the conjugate of the one above, so every
+    Hessian is Hermitian by construction.  ``h`` is a validated step.
+    """
+    rows = [_float_coeffs(c) for c in classes]
+    m, n = len(rows), flag.dim_c
+    steps = h * np.array([1, -1, 1j, -1j])
+    # coordinate j displaced by each step; coordinates j < k by each pair of steps
+    diag = np.zeros((n, 4, n), dtype=complex)
+    diag[range(n), :, range(n)] = steps
+    j, k = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
+    points = np.concatenate([diag, (diag[j, :, None] + diag[k, None, :]).reshape(-1, 4, n)])
+    phi = _potentials(flag, rows, points.reshape(-1, n))
+    phi_diag, phi_cross = phi[:, : 4 * n].reshape(m, n, 4), phi[:, 4 * n :].reshape(m, -1, 4, 4)
+
+    # quarter Laplacian from the xx and yy differences; the potential vanishes at the origin
+    d2 = (phi_diag[..., 0::2] + phi_diag[..., 1::2]) / (h * h)
+    H = np.zeros((m, n, n), dtype=complex)
+    H[:, range(n), range(n)] = 0.25 * (d2[..., 0] + d2[..., 1])
+    # mixed second derivatives along real (0) or imaginary (1) directions of
+    # j and k; steps 2a and 2a + 1 are opposite
+    pp, pm = phi_cross[..., 0::2, 0::2], phi_cross[..., 0::2, 1::2]
+    mp, mm = phi_cross[..., 1::2, 0::2], phi_cross[..., 1::2, 1::2]
+    second = (pp - pm - mp + mm) / (4.0 * h * h)
+    re = 0.25 * (second[..., 0, 0] + second[..., 1, 1])
+    im = 0.25 * (second[..., 0, 1] - second[..., 1, 0])
+    H[:, j, k] = re + 1j * im
+    H[:, k, j] = H[:, j, k].conj()
+    return H
 
 
 def numeric_form_at_origin(
@@ -125,38 +189,13 @@ def numeric_form_at_origin(
 ) -> np.ndarray:
     """Complex Hessian of the potential at the origin by central differences.
 
-    Wirtinger assembly: a quarter of the real Laplacian per coordinate on the
-    diagonal, the standard four-point cross stencils above it.  The 4n
-    diagonal and 8n(n-1) cross stencil points are stacked and the potential
-    is evaluated on all of them in one call.  Each entry below the diagonal
-    is the conjugate of the one above, so the result is Hermitian by
-    construction.  ``step`` must be finite and positive.
+    The stencil is stacked and the potential evaluated on it once; the
+    result is Hermitian by construction.  ``step`` must be finite and
+    positive.
     """
     _require_type_a(flag)
     h = _finite_positive("step", step)
-    n = flag.dim_c
-    steps = h * np.array([1, -1, 1j, -1j])
-    # coordinate j displaced by each step; coordinates j < k by each pair of steps
-    diag = np.zeros((n, 4, n), dtype=complex)
-    diag[range(n), :, range(n)] = steps
-    j, k = np.triu_indices(n, 1)
-    points = np.concatenate([diag, (diag[j, :, None] + diag[k, None, :]).reshape(-1, 4, n)])
-    phi = kahler_potential(flag, coefficients, points.reshape(-1, n))
-    phi_diag, phi_cross = phi[: 4 * n].reshape(n, 4), phi[4 * n :].reshape(-1, 4, 4)
-
-    # quarter Laplacian from the xx and yy differences; the potential vanishes at the origin
-    d2 = (phi_diag[:, 0::2] + phi_diag[:, 1::2]) / (h * h)
-    H = np.diag(0.25 * (d2[:, 0] + d2[:, 1])).astype(complex)
-    # mixed second derivatives along real (0) or imaginary (1) directions of
-    # j and k; steps 2a and 2a + 1 are opposite
-    pp, pm = phi_cross[:, 0::2, 0::2], phi_cross[:, 0::2, 1::2]
-    mp, mm = phi_cross[:, 1::2, 0::2], phi_cross[:, 1::2, 1::2]
-    second = (pp - pm - mp + mm) / (4.0 * h * h)
-    re = 0.25 * (second[:, 0, 0] + second[:, 1, 1])
-    im = 0.25 * (second[:, 0, 1] - second[:, 1, 0])
-    H[j, k] = re + 1j * im
-    H[k, j] = H[j, k].conj()
-    return H
+    return _hessians_at_origin(flag, [class_from_coeffs(flag, coefficients)], h)[0]
 
 
 @dataclass(frozen=True)
@@ -180,11 +219,11 @@ def check_eigenvalue_formula(
 ) -> EigenvalueReport:
     """Compare finite-difference generalized eigenvalues against the exact ratios.
 
-    Builds both Hessians at the origin, solves the generalized eigenproblem of
-    the psi Hessian against the metric Hessian, and reports the maximal
-    absolute deviation from the exact pairing-ratio spectrum.  The step and
-    the tolerance must be finite and positive; a Hessian or a spectrum that
-    leaves the float range is IllConditioned.
+    Builds both Hessians at the origin on one stencil, solves the generalized
+    eigenproblem of the psi Hessian against the metric Hessian, and reports
+    the maximal absolute deviation from the exact pairing-ratio spectrum.
+    The step and the tolerance must be finite and positive; a Hessian or a
+    spectrum that leaves the float range is IllConditioned.
     """
     _require_type_a(flag)
     step = _finite_positive("step", step)
@@ -197,8 +236,7 @@ def check_eigenvalue_formula(
 
     # non-finite intermediates are reported as IllConditioned, not as warnings
     with np.errstate(all="ignore"):
-        H_omega = numeric_form_at_origin(flag, omega_coefficients, step)
-        H_psi = numeric_form_at_origin(flag, psi_coefficients, step)
+        H_omega, H_psi = _hessians_at_origin(flag, [omega, psi], step)
         if not (np.isfinite(H_omega).all() and np.isfinite(H_psi).all()):
             raise IllConditioned(f"a Hessian at step {step} has a non-finite entry")
         try:

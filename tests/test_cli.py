@@ -340,7 +340,7 @@ ROUND_TRIP_REQUESTS = [
     (["describe", "B", "3"], 0),
     (["describe", "G", "2"], 0),
     (["describe", "A", "8", "--parabolic", "2,5"], 0),
-    (["describe", "A", "2", "--parabolic", "\u0661"], 0),  # int('\u0661') == 1
+    (["describe", "A", "2", "--parabolic", "\u00a0"], 0),  # strip() empties it: the full flag
     (["primitive-basis", "A", "4", "--omega0=1,2,3,4"], 0),
     (["gauduchon", "A", "2", "--k", "1", "--t", "1", "--bundle=-1,1", "--diagnostic"], 0),
     (["balanced", "A", "3", "--bundle=-14,11,0", "--bundle=-11,0,11"], 0),
@@ -356,6 +356,41 @@ def test_every_command_round_trips_byte_identical(capsys, argv, expected):
     code, out = run(capsys, *argv, "--format", "json")
     assert code == expected
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+#: numerals that int, float or Fraction would read as another value than the echo shows
+LOOSE_NUMERALS = [
+    ["describe", "A", "12", "--parabolic", "1_0"],
+    ["describe", "A", "2", "--parabolic", "\u0661"],
+    ["describe", "A", "\uff12"],
+    ["verify-numeric", "A", "2", "--psi=1,0", "--step=1_0e-4"],
+    ["verify-numeric", "A", "2", "--psi=1,0", "--tol=1\u00a0"],
+    ["verify-numeric", "A", "2", "--psi=1_0,0"],
+    ["verify-numeric", "A", "2", "--omega0=\u0662,1", "--psi=1,0"],
+    ["primitive-basis", "A", "3", "--gamma=\u0662"],
+    ["gauduchon", "A", "2", "--k=1_0", "--t=1/2", "--bundle=-1,1"],
+    ["gauduchon", "A", "2", "--k=1", "--t=1/2_0", "--bundle=-1,1"],
+    ["balanced", "A", "2", "--bundle=-1,1", "--bundle=-\u0662,2"],
+]
+
+
+@pytest.mark.parametrize("argv", LOOSE_NUMERALS, ids=" ".join)
+def test_loose_numerals_are_parse_errors(capsys, argv):
+    assert main([*argv, "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("flagcy: cannot parse ")
+    assert err.endswith(": numerals must be ASCII, without '_'\n")
+
+
+def test_ascii_whitespace_around_numerals_still_parses(capsys):
+    padded = ["verify-numeric", "A", " 3 ", "--parabolic= 2 ", "--omega0= 1 , 2/3 ",
+              "--psi=-1, 1 ", "--step= 1e-3 ", "--tol= 1e-4"]
+    plain = ["verify-numeric", "A", "3", "--parabolic=2", "--omega0=1,2/3",
+             "--psi=-1,1", "--step=1e-3", "--tol=1e-4"]
+    (code, report), (plain_code, plain_report) = run_json(capsys, *padded), run_json(capsys, *plain)
+    assert code == plain_code == 0
+    assert report["inputs"]["omega0"] == " 1 , 2/3 "
+    assert report["results"] == plain_report["results"]
 
 
 REPORT_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())

@@ -206,10 +206,11 @@ def test_numeric_form_recovers_a_hermitian_quadratic(monkeypatch):
     B = rng.normal(size=(flag.dim_c,) * 2) + 1j * rng.normal(size=(flag.dim_c,) * 2)
     A = B + B.conj().T
 
-    def quadratic(flag, coefficients, points):
-        return np.einsum("...j,jk,...k->...", points, A, np.conj(points)).real
+    def quadratic(flag, rows, points):
+        values = np.einsum("...j,jk,...k->...", points, A, np.conj(points)).real
+        return np.stack([values] * len(rows))
 
-    monkeypatch.setattr(potential_lab, "kahler_potential", quadratic)
+    monkeypatch.setattr(potential_lab, "_potentials", quadratic)
     H = numeric_form_at_origin(flag, [1, 1])
     assert np.max(np.abs(H - A)) < 1e-8
     assert np.array_equal(H, H.conj().T)
@@ -217,16 +218,65 @@ def test_numeric_form_recovers_a_hermitian_quadratic(monkeypatch):
 
 def test_numeric_form_evaluates_the_potential_once(monkeypatch):
     flag = flag_of("A", 3, [2])
-    calls = []
+    calls, charts = [], []
+    potentials, chart = potential_lab._potentials, potential_lab.unipotent_matrix
 
-    def counted(*args):
-        calls.append(np.shape(args[2]))
-        return kahler_potential(*args)
+    def counted(flag, rows, points):
+        calls.append((len(rows), np.shape(points)))
+        return potentials(flag, rows, points)
 
-    monkeypatch.setattr(potential_lab, "kahler_potential", counted)
-    numeric_form_at_origin(flag, [1, 2])
+    def counted_chart(*args):
+        charts.append(np.shape(args[1]))
+        return chart(*args)
+
+    monkeypatch.setattr(potential_lab, "_potentials", counted)
+    monkeypatch.setattr(potential_lab, "unipotent_matrix", counted_chart)
     n = flag.dim_c
-    assert calls == [(4 * n + 8 * n * (n - 1), n)]
+    stencil = (4 * n + 8 * n * (n - 1), n)
+    numeric_form_at_origin(flag, [1, 2])
+    assert calls == [(1, stencil)] and charts == [stencil]
+    # both classes of a check share one evaluation and one chart stack
+    calls.clear()
+    charts.clear()
+    check_eigenvalue_formula(flag, [1, 2], [-1, 1])
+    assert calls == [(2, stencil)] and charts == [stencil]
+
+
+STENCIL_FLAGS = [(2, []), (3, []), (3, [2]), (4, [2, 3]), (5, [2, 4])]
+
+
+@pytest.mark.parametrize("rank, parabolic", STENCIL_FLAGS)
+def test_check_builds_one_chart_and_one_norm_per_picard_direction(monkeypatch, rank, parabolic):
+    flag = flag_of("A", rank, parabolic)
+    counts = {"chart": 0, "norm": 0}
+    chart, norm = potential_lab.unipotent_matrix, potential_lab._minor_norm_sq
+
+    def counted_chart(*args):
+        counts["chart"] += 1
+        return chart(*args)
+
+    def counted_norm(*args):
+        counts["norm"] += 1
+        return norm(*args)
+
+    monkeypatch.setattr(potential_lab, "unipotent_matrix", counted_chart)
+    monkeypatch.setattr(potential_lab, "_minor_norm_sq", counted_norm)
+    rho = flag.picard_rank
+    check_eigenvalue_formula(flag, list(range(1, rho + 1)), [(-1) ** i for i in range(rho)])
+    assert counts == {"chart": 1, "norm": rho}
+
+
+@pytest.mark.parametrize("rank, parabolic", STENCIL_FLAGS)
+def test_check_spectrum_equals_separate_hessians_bit_for_bit(rank, parabolic):
+    # the batched two-class path and the one-class path give the same bits
+    flag = flag_of("A", rank, parabolic)
+    rho = flag.picard_rank
+    omega, psi = [F(k + 2, 3) for k in range(rho)], [(-2) ** k for k in range(rho)]
+    for step in (1e-4, 1e-3):
+        H_omega = numeric_form_at_origin(flag, omega, step)
+        H_psi = numeric_form_at_origin(flag, psi, step)
+        expected = sorted(np.linalg.eigvals(np.linalg.solve(H_omega, H_psi)).real.tolist())
+        assert check_eigenvalue_formula(flag, omega, psi, step=step).numeric == tuple(expected)
 
 
 def _random_points(flag, shape, seed):
@@ -332,7 +382,7 @@ def test_singular_metric_hessian_detected(monkeypatch):
     singular = np.zeros((3, 3), dtype=complex)
     singular[0, 0] = 1.0
 
-    monkeypatch.setattr(potential_lab, "numeric_form_at_origin", lambda *a, **k: singular)
+    monkeypatch.setattr(potential_lab, "_hessians_at_origin", lambda *a, **k: np.stack([singular] * 2))
     with pytest.raises(IllConditioned):
         potential_lab.check_eigenvalue_formula(flag, [2, 2], [1, 0])
 
@@ -379,7 +429,7 @@ def test_non_finite_hessian_is_ill_conditioned():
 def test_exact_spectrum_beyond_float_range_is_ill_conditioned(monkeypatch):
     # identity Hessians keep the numeric side finite; the exact ratio 10^400 is not
     flag = flag_of("A", 2)
-    monkeypatch.setattr(potential_lab, "numeric_form_at_origin", lambda *a, **k: np.eye(3))
+    monkeypatch.setattr(potential_lab, "_hessians_at_origin", lambda *a, **k: np.stack([np.eye(3)] * 2))
     with pytest.raises(IllConditioned, match="float range"):
         potential_lab.check_eigenvalue_formula(flag, [1, 1], [10**400, 0])
 
