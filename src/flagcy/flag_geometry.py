@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import factorial, gcd, lcm, prod
+from operator import attrgetter, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -93,22 +95,20 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
     complement = tuple(i for i in range(1, datum.rank + 1) if i not in pset)
     if not complement:
         raise IndexOutOfRange("parabolic set must be a proper subset of the simple roots")
-    phi = tuple(
-        beta
-        for beta in datum.positive_roots
-        if any(beta.root_coords[i - 1] for i in complement)
-    )
-    table = tuple(tuple(beta.coroot_coords[a - 1] for a in complement) for beta in phi)
-    weyl_row = tuple(sum(beta.coroot_coords) for beta in phi)
+    cols = [a - 1 for a in complement]
+    # the Picard columns of a coordinate tuple, as a 1-tuple at Picard rank 1 too
+    pick = itemgetter(*cols) if len(cols) > 1 else itemgetter(slice(cols[0], cols[0] + 1))
+    roots = datum.positive_roots
+    phi = tuple(compress(roots, map(any, map(pick, map(attrgetter("root_coords"), roots)))))
+    coroots = tuple(map(attrgetter("coroot_coords"), phi))
     # the anticanonical weight is the sum of the roots in phi, paired with
     # the simple coroots of the Picard directions (columns of the Cartan matrix)
-    root_sum = [sum(col) for col in zip(*(beta.root_coords for beta in phi))]
-    anticanonical = tuple(
-        sum(m * row[a - 1] for m, row in zip(root_sum, datum.cartan)) for a in complement
-    )
+    root_sum = list(map(sum, zip(*map(attrgetter("root_coords"), phi))))
+    anticanonical = tuple(sum(map(mul, root_sum, col)) for col in pick(tuple(zip(*datum.cartan))))
     for a, c in zip(complement, anticanonical):
         if c <= 0:
             raise AssertionError(f"anticanonical coefficient at alpha_{a} is {c}")
+    table, weyl_row = tuple(map(pick, coroots)), tuple(map(sum, coroots))
     return ParabolicFlag(datum, pset, complement, phi, table, weyl_row, anticanonical)
 
 

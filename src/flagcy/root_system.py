@@ -1,11 +1,11 @@
 """Exact root systems of the simple complex Lie algebras.
 
-Root and coroot coordinates are exact integers.  Roots are closed under
-root strings: ``beta + alpha_i`` is a root when the alpha_i-string through
-``beta`` reaches down further than ``<beta, alpha_i_coroot>``.  The closure
-carries each root's Cartan row ``(<beta, alpha_j_coroot>)_j`` and reads the
-half square length, hence the coroot, off it.  The coroot coordinates are
-what every higher layer consumes: in the fundamental-weight basis the
+Root and coroot coordinates are exact integers.  Roots are built one height
+level at a time: a root ``beta`` carries its Cartan row ``r``, its half
+square length and the down-lengths ``p`` of its simple root strings, and
+``beta + alpha_i`` is a root exactly when ``p_i > r_i``; it inherits all
+three by one addition each, ``p_i`` growing by one.  The coroot coordinates
+are what every higher layer consumes: in the fundamental-weight basis the
 pairing ``<w, beta_coroot>`` is the dot product of ``w`` with the coroot
 coordinates of ``beta``, so ``make_flag`` reads the integer pairing table of
 a flag straight off this datum.
@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import add, gt, mul
 
 from .errors import InvalidRank, _integer
 
@@ -161,11 +163,12 @@ class RootDatum:
 
 @lru_cache(maxsize=None)
 def build_root_datum(lie_type: LieType) -> RootDatum:
-    """Enumerate all positive roots by closing the simple roots under root strings.
+    """Enumerate all positive roots one height level at a time.
 
-    Roots are listed by increasing height; within a height level the root
-    supported on earlier simple roots comes first.  The whole computation is
-    exact and cached per Lie type.
+    Only the current and the next level are kept.  Roots are listed by
+    increasing height, within a level in decreasing lexicographic order, so
+    the root supported on earlier simple roots comes first.  The whole
+    computation is exact and cached per Lie type.
     """
     n = lie_type.rank
     C = cartan_matrix(lie_type)
@@ -175,37 +178,31 @@ def build_root_datum(lie_type: LieType) -> RootDatum:
             if C[i][j] * d[j] != C[j][i] * d[i]:
                 raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
 
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    # Cartan row (<beta, alpha_j^vee>)_j of every root found so far; along a
-    # string it grows by a row of C: row(beta + alpha_i) = row(beta) + C[i]
-    row: dict[tuple[int, ...], tuple[int, ...]] = dict(zip(simple, C))
-    frontier = simple
-    while frontier:
-        grown = []
-        for beta in frontier:
-            for i in range(n):
-                # how far the alpha_i-string through beta reaches down
-                down = 0
-                while beta[i] > down and beta[:i] + (beta[i] - down - 1,) + beta[i + 1 :] in row:
-                    down += 1
-                if down - row[beta][i] >= 1:
-                    cand = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                    if cand not in row:
-                        row[cand] = tuple(x + y for x, y in zip(row[beta], C[i]))
-                        grown.append(cand)
-        frontier = grown
-
+    indices = range(n)
+    level = {tuple(1 if j == i else 0 for j in indices): (C[i], d[i], [0] * n) for i in indices}
     roots = []
-    for coords in sorted(row, key=lambda m: (sum(m), tuple(-c for c in m))):
-        # (beta, alpha_j) = d_j <beta, alpha_j^vee>, so (beta, beta)/2 is read off
-        # the row; the symmetrized Cartan matrix has an even diagonal, so // 2 is exact
-        half_len = sum(m * dj * r for m, dj, r in zip(coords, d, row[coords])) // 2
-        if half_len <= 0:
-            raise AssertionError(f"bad half square length {half_len} for {coords}")
-        if any(coords[j] * d[j] % half_len for j in range(n)):
-            raise AssertionError(f"coroot of {coords} is not integral")
-        coroot = tuple(coords[j] * d[j] // half_len for j in range(n))
-        roots.append(PositiveRoot(coords, coroot))
+    while level:
+        grown: dict[tuple[int, ...], tuple[tuple[int, ...], int, list[int]]] = {}
+        for beta in sorted(level, reverse=True):
+            r, h, down = level[beta]
+            if h <= 0:
+                raise AssertionError(f"bad half square length {h} for {beta}")
+            # the coroot 2 beta / (beta, beta) has coordinates beta_j d_j / h
+            coroot = tuple(map(mul, beta, d))
+            if h != 1:
+                if any(x % h for x in coroot):
+                    raise AssertionError(f"coroot of {beta} is not integral")
+                coroot = tuple(x // h for x in coroot)
+            roots.append(PositiveRoot(beta, coroot))
+            # the alpha_i-string through beta reaches p_i down and p_i - r_i up
+            for i in compress(indices, map(gt, down, r)):
+                cand = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                entry = grown.get(cand)
+                if entry is None:
+                    # (beta + alpha_i)^2 / 2 = h + (beta, alpha_i) + d_i, (beta, alpha_i) = d_i r_i
+                    entry = grown[cand] = (tuple(map(add, r, C[i])), h + d[i] * (r[i] + 1), [0] * n)
+                entry[2][i] = down[i] + 1
+        level = grown
 
     if len(roots) != positive_root_count(lie_type):
         raise AssertionError(

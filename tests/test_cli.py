@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -335,6 +336,31 @@ def test_json_reports_round_trip_byte_identical(capsys, name):
     assert rendered == out
 
 
+# SHA-256 of the JSON `describe` report of large full and partial flags: the
+# root order, coroots, pairing table and Weyl row all reach the report
+DESCRIBE_DIGESTS = {
+    ("A", "24", ""): "d17a91e712faee9b00f94ee662ecebcae1fb42fe28c87bf374b9baeeab54c89f",
+    ("B", "12", ""): "11150fd630fec11b287eb4c3becef0488d8031dd1cdc679e512f7db9c916ab57",
+    ("D", "10", ""): "06c708bd7bf06493e8e317729ef0a0efc2c7229851a1bb85505227902afe542b",
+    ("E", "8", ""): "cb7a1dc5db4ab1d46424475b7b07b11f13d5dbf7ad4c433bada7c40e7507feeb",
+    ("F", "4", ""): "4099ec05b9e5d8108fd3b856cb4a3c8e2da7b0d78700d3955e4365139c98a294",
+    ("G", "2", ""): "1f9ebb08958d8cd8f82d637f24d854c704506ce9a2ed96c3d6e168adece1453e",
+    ("A", "24", "1,3,7,12,20"): "80cf6f6e570170bbb187ff3d1037b69b23c032ccb388fed610c1dae6d9de1c4c",
+    ("B", "12", "2,5"): "3ccc69772c99266e7131cd03ce9437b7b87714f195e6d457b10a82aab728c055",
+    ("D", "10", "1,4,9"): "ce5e8b0fcd84d9df2fb25e03aaeba325a57af15be5cde62156e5feff91923f4a",
+    ("E", "8", "1,8"): "55a4d061ffad40426764baf395c35d24647e8500aa429d28843ba3e8293ebf43",
+    ("F", "4", "2"): "df3d96b443c9b13ad2daac2f4c712d1f8804e5884c0c8ffa2b705d558f0f3c8d",
+    ("G", "2", "1"): "e313de48ab2bf658ea90ea13abcb9c85bc0c8d9b9b7a9bb1bf5f3e6ca953d731",
+}
+
+
+@pytest.mark.parametrize("family, rank, parabolic", sorted(DESCRIBE_DIGESTS))
+def test_large_describe_reports_match_their_digests(capsys, family, rank, parabolic):
+    code, out = run(capsys, "describe", family, rank, "--parabolic", parabolic, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DESCRIBE_DIGESTS[family, rank, parabolic]
+
+
 # (argv, exit code): every command, floats, error reports and a non-ASCII echo
 ROUND_TRIP_REQUESTS = [
     (["describe", "B", "3"], 0),
@@ -521,6 +547,8 @@ LAZY_LAB_SCRIPT = """
 import sys
 import flagcy, flagcy.cli
 
+# the CLI's start-up cost is this import: numpy waits for the numeric lab
+assert "numpy" not in sys.modules, "numpy loaded by the import of flagcy.cli"
 lab = {lab!r}
 requests = [
     ["describe", "A", "2"],

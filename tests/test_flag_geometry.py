@@ -81,6 +81,33 @@ def test_make_flag_projective_plane():
     assert [b.root_coords for b in flag.phi_complement] == [(1, 0), (1, 1)]
 
 
+def test_make_flag_fields_match_their_definitions():
+    # every parabolic subset of every type of rank <= 4, plus F4 and G2,
+    # down to Picard rank 1
+    seen_rank_one = 0
+    for flag in small_flags(max_rank=4):
+        datum, complement = flag.datum, flag.complement
+        assert complement == tuple(sorted(set(range(1, flag.rank + 1)) - flag.parabolic_set))
+        seen_rank_one += len(complement) == 1
+        support = lambda beta: {j + 1 for j, m in enumerate(beta.root_coords) if m}
+        phi = tuple(beta for beta in datum.positive_roots if support(beta) & set(complement))
+        assert flag.phi_complement == phi
+        # <varpi_a, beta_coroot> is the a-th coroot coordinate
+        assert flag.pairing_table == tuple(
+            tuple(beta.coroot_coords[a - 1] for a in complement) for beta in phi
+        )
+        # rho is the sum of the fundamental weights
+        assert flag.weyl_row == tuple(
+            sum(beta.coroot_coords[j] for j in range(flag.rank)) for beta in phi
+        )
+        # the sum of the roots of phi, paired with each simple coroot alpha_a
+        assert flag.anticanonical == tuple(
+            sum(m * datum.cartan[j][a - 1] for beta in phi for j, m in enumerate(beta.root_coords))
+            for a in complement
+        )
+    assert seen_rank_one > 20
+
+
 def test_make_flag_projective_line():
     assert flag_of("A", 1).dim_c == 1
 
