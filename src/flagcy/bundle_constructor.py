@@ -174,7 +174,10 @@ def verify_ricci_flat(datum: GauduchonDatum) -> InvariantClass:
     reference = _reference_weights(datum.flag, datum.omega0)
     for psi_j in datum.psi:
         value = _contraction(datum.flag, reference, psi_j)
-        residual = residual + psi_j.scaled(factor * value)
+        # adding psi_j scaled by 0 (the zero class, power 0) changes nothing,
+        # and _contraction has already checked psi_j's length
+        if value:
+            residual = residual + psi_j.scaled(factor * value)
     return residual
 
 

@@ -13,10 +13,13 @@ table once per flag, with the Weyl row ``<rho, beta_coroot>`` (the coroot
 heights) and the anticanonical coefficients.  A class is paired with the
 table by clearing its denominators once and pairing the integer vector.
 
-A Kahler reference ``omega`` is checked and paired once per call, into its
+A Kahler reference ``omega`` is checked on every call, and reduced to its
 volume, integer contraction weights ``W[b] = lcm(p) / p[b]`` of its pairings
 ``p`` with one rational scale, and column sums ``S[i] = sum_b P[b][i] * W[b]``.
-A class ``x / d`` (integer ``x``) contracts to ``scale * (x . S) / d`` with no
+``W`` and ``S`` depend only on the ray of ``omega``, and the volume and scale
+on its multiplier along the ray, so the table is paired once per primitive
+integer ray, in a bounded cache keyed by the integer table and the ray.  A
+class ``x / d`` (integer ``x``) contracts to ``scale * (x . S) / d`` with no
 table pass, and ``(n-1)! * vol * scale * S`` is the degree vector.
 """
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from math import factorial, gcd, lcm, prod
 from operator import attrgetter, itemgetter, mul
@@ -194,7 +198,8 @@ def fano_index(flag: ParabolicFlag) -> int:
 def is_kahler(flag: ParabolicFlag, c: InvariantClass) -> bool:
     """True exactly when every coefficient is strictly positive."""
     _check_class(flag, c)
-    return all(v > 0 for v in c.coeffs)
+    # a Fraction's denominator is positive, so its sign is its numerator's
+    return all(v.numerator > 0 for v in c.coeffs)
 
 
 def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
@@ -211,32 +216,48 @@ def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
     return [sum(row[i] * x for i, x in ints) for row in flag.pairing_table], d
 
 
-# a Kahler reference paired once: see _reference_weights
+# a Kahler reference: see _reference_weights
 class _Reference(NamedTuple):
     vol: Fraction
-    weights: list[int]
+    weights: tuple[int, ...]
     scale: Fraction
-    sums: list[int]
+    sums: tuple[int, ...]
+
+
+@lru_cache(maxsize=1024)
+def _ray(table: tuple[tuple[int, ...], ...], ray: tuple[int, ...]) -> tuple:
+    """Pair a primitive integer ray with the table: ``(lcm(p), W, S, prod(p))``.
+
+    Keyed by ints alone, so a lookup hashes in C; tuples, so no caller can
+    change a shared entry.
+    """
+    p = [sum(map(mul, row, ray)) for row in table]
+    common = lcm(*p)
+    weights = tuple(common // w for w in p)
+    sums = tuple(sum(map(mul, column, weights)) for column in zip(*table))
+    return common, weights, sums, prod(p)
 
 
 def _reference_weights(flag: ParabolicFlag, omega: InvariantClass) -> _Reference:
-    """Check a Kahler reference and pair it with the table once.
+    """Check a Kahler reference and read its ray's pairing from the cache.
 
     Returns the volume's rational part, the integer contraction weights
     ``W[b] = lcm(p) / p[b]`` of the pairings ``p`` of ``omega``'s cleared
-    class with their scale, and the column sums ``S[i] = sum_b P[b][i] * W[b]``
-    (``W`` and ``S`` depend only on the ray of ``omega``): a class ``x / d``
-    contracts to ``scale * (x . S) / d``, and ``(n-1)! * vol * scale * S`` is
-    the degree vector.
+    class with their scale, and the column sums ``S[i] = sum_b P[b][i] * W[b]``:
+    a class ``x / d`` contracts to ``scale * (x . S) / d``, and
+    ``(n-1)! * vol * scale * S`` is the degree vector.  With ``omega = m * r / d``
+    for the primitive integer ray ``r``, the pairings are ``m`` times those of
+    ``r``, so only ``vol`` and ``scale`` depend on ``m`` and ``d``.
     """
     if not is_kahler(flag, omega):
         raise NotKahler("reference class must have strictly positive coefficients")
-    p_omega, d = _pairings(flag, omega)
-    common = lcm(*p_omega)
-    weights = [common // w for w in p_omega]
-    sums = [sum(p * w for p, w in zip(column, weights)) for column in zip(*flag.pairing_table)]
-    vol = Fraction(prod(p_omega), d**flag.dim_c * prod(flag.weyl_row))
-    return _Reference(vol, weights, Fraction(d, common), sums)
+    d = lcm(*(v.denominator for v in omega.coeffs))
+    x = [v.numerator * (d // v.denominator) for v in omega.coeffs]
+    m = gcd(*x)
+    common, weights, sums, prod_p = _ray(flag.pairing_table, tuple(v // m for v in x))
+    n = flag.dim_c
+    vol = Fraction(m**n * prod_p, d**n * prod(flag.weyl_row))
+    return _Reference(vol, weights, Fraction(d, m * common), sums)
 
 
 def _contraction(flag: ParabolicFlag, reference: _Reference, psi: InvariantClass) -> Fraction:

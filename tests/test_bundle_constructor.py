@@ -122,6 +122,23 @@ def test_verify_ricci_flat_reports_scale_mismatch():
     assert verify_ricci_flat(doubled) == ricci_class(flag).scaled(F(1, 2))
 
 
+def test_verify_ricci_flat_skips_only_zero_contractions():
+    flag = flag_of("A", 3)
+    datum = build_t_gauduchon(flag, 1, F(-1), degree_zero_bundles(flag, odd=True))
+    off = replace(datum, t=F(0))
+    residual = verify_ricci_flat(off)
+    assert not residual.is_zero
+    # a degree-zero term at another power of 2*pi adds the zero class
+    other_power = InvariantClass(2, datum.psi[1].coeffs)
+    for d, expected in ((datum, verify_ricci_flat(datum)), (off, residual)):
+        shifted = replace(d, psi=(d.psi[0], other_power, *d.psi[2:]))
+        assert verify_ricci_flat(shifted) == expected
+    # a term with nonzero contraction at another power is still a mismatch
+    first = InvariantClass(2, datum.psi[0].coeffs)
+    with pytest.raises(DimensionMismatch):
+        verify_ricci_flat(replace(datum, psi=(first, *datum.psi[1:])))
+
+
 def test_verify_ricci_flat_chern_parameter_residual():
     flag = flag_of("A", 2)
     datum = build_t_gauduchon(flag, 1, F(1), degree_zero_bundles(flag, odd=True), diagnostic=True)
@@ -265,35 +282,47 @@ def test_class_one_coefficient_too_long_is_a_dimension_mismatch(call):
         call(flag, LineBundleClass(xi.coeffs + (1,)))
 
 
-def test_each_call_pairs_its_reference_once(monkeypatch):
-    # the reference is checked and paired once per call, whatever the number
-    # of bundles; the curvature classes contract through its column sums and
-    # are never paired with the table
-    paired = []
-    original = flag_geometry._pairings
+def test_each_reference_ray_is_paired_once(monkeypatch):
+    # a builder, its verifier and the Lee form share one reference ray, so the
+    # chain pairs it with the table once (one _ray miss) however many bundles
+    # there are; the curvature classes contract through its column sums and
+    # never reach the table
+    rays, paired = [], []
+    ray_cache, pairings = flag_geometry._ray, flag_geometry._pairings
 
-    def counted(flag, c):
+    def counted_ray(table, ray):
+        rays.append(ray)
+        return ray_cache(table, ray)
+
+    def counted_pairings(flag, c):
         paired.append(c)
-        return original(flag, c)
+        return pairings(flag, c)
 
-    monkeypatch.setattr(flag_geometry, "_pairings", counted)
+    monkeypatch.setattr(flag_geometry, "_ray", counted_ray)
+    monkeypatch.setattr(flag_geometry, "_pairings", counted_pairings)
     flag = flag_of("A", 4)
-    omega = class_from_coeffs(flag, [1, 2, 3, 4])
+    # a non-primitive reference: the ray is omega / 2
+    omega = class_from_coeffs(flag, [2, 4, 6, 8])
     bundles = list(primitive_basis(flag, omega).basis)
     bundles.append(bundles[0].scaled(2))
-    theta = anticanonical_class(flag)
     odd = degree_zero_bundles(flag, odd=True)
-    gauduchon = build_t_gauduchon(flag, 1, F(-1), odd)
-    balanced = build_balanced(flag, omega, bundles)
-    calls = [
-        (lambda: build_balanced(flag, omega, bundles), omega),
-        (lambda: verify_coclosed(balanced), omega),
-        (lambda: lee_form_coefficients(flag, balanced.psi, omega), omega),
-        (lambda: build_t_gauduchon(flag, 1, F(-1), odd), theta),
-        (lambda: verify_ricci_flat(gauduchon), gauduchon.omega0),
-        (lambda: lee_form_coefficients(flag, gauduchon.psi, gauduchon.omega0), gauduchon.omega0),
-    ]
-    for call, reference in calls:
-        paired.clear()
-        call()
-        assert paired == [reference]
+
+    def balanced_chain():
+        balanced = build_balanced(flag, omega, bundles)
+        assert not any(verify_coclosed(balanced))
+        lee_form_coefficients(flag, balanced.psi, omega)
+
+    def gauduchon_chain():
+        # the builder pairs c_1, the verifier and the Lee form scale * c_1
+        gauduchon = build_t_gauduchon(flag, 1, F(-1), odd)
+        assert verify_ricci_flat(gauduchon).is_zero
+        lee_form_coefficients(flag, gauduchon.psi, gauduchon.omega0)
+
+    anticanonical_ray = tuple(c // fano_index(flag) for c in flag.anticanonical)
+    for chain, ray in ((balanced_chain, (1, 2, 3, 4)), (gauduchon_chain, anticanonical_ray)):
+        ray_cache.cache_clear()
+        rays.clear()
+        chain()
+        assert rays == [ray] * 3
+        assert ray_cache.cache_info().misses == 1
+    assert paired == []
