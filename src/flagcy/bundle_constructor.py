@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -39,9 +40,9 @@ from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
     _Reference,
+    _check_class,
     _contraction,
     _reference_weights,
-    anticanonical_class,
     fano_index,
     ricci_class,
 )
@@ -97,18 +98,20 @@ def _curvature_classes(
 ) -> tuple[InvariantClass, ...]:
     """The bundles' curvature classes at 2*pi power 1, each checked primitive.
 
-    Bundle ``j`` is checked (trivial if ``nontrivial``, then primitive) before bundle ``j+1``.
+    Bundle ``j`` is checked (trivial if ``nontrivial``, then its length, then
+    ``c . S = 0`` in ints for the reference's column sums ``S``) before bundle ``j+1``.
     """
     classes = []
     for j, bundle in enumerate(bundles, start=1):
         if not isinstance(bundle, LineBundleClass):
             raise InvalidParameter(f"bundle {j} must be a LineBundleClass, got {bundle!r}")
-        c = bundle.to_class()
+        c = InvariantClass(1, bundle.coeffs)
         if nontrivial and c.is_zero:
             raise TrivialBundle(j)
-        if _contraction(flag, reference, c) != 0:
+        _check_class(flag, c)
+        if sum(map(mul, bundle.coeffs, reference.sums)) != 0:
             raise NotPrimitive(j)
-        classes.append(c.times_two_pi())
+        classes.append(c)
     return tuple(classes)
 
 
@@ -146,8 +149,6 @@ def build_t_gauduchon(
             f"need an odd number 2r-1 of degree-zero bundles, got {len(bundles)}"
         )
 
-    reference = _reference_weights(flag, anticanonical_class(flag))
-    curvatures = _curvature_classes(flag, reference, bundles, nontrivial=True)
     index = fano_index(flag)
     # at t >= 1 (diagnostic only) the closed-form scale degenerates; any
     # positive base scale exposes the same nonzero residual
@@ -155,6 +156,7 @@ def build_t_gauduchon(
 
     ell = flag.anticanonical
     omega0 = InvariantClass(1, tuple(scale * l for l in ell))
+    curvatures = _curvature_classes(flag, _reference_weights(flag, omega0), bundles, nontrivial=True)
     psi_first = InvariantClass(1, tuple(Fraction(k * l, index) for l in ell))
     if any(c.denominator != 1 for c in psi_first.coeffs):
         raise AssertionError("anticanonical coefficients are not divisible by the index")
@@ -189,6 +191,8 @@ def verify_c1_trivial(datum: GauduchonDatum) -> Fraction:
     has vanishing first Chern class.
     """
     rho = ricci_class(datum.flag)
+    if not datum.psi:
+        raise NotProportional("no first curvature class")
     first = datum.psi[0]
     pairs = tuple(zip(rho.coeffs, first.coeffs))
     ratio = next((r_c / f_c for r_c, f_c in pairs if f_c), None)

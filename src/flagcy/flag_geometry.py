@@ -10,8 +10,8 @@ All invariants are linear in the class through the integer pairings
 ``P[beta][a] = <varpi_a, beta_coroot>`` of the Picard generators with the
 positive roots ``beta`` not supported on ``I``.  ``make_flag`` computes that
 table once per flag, with the Weyl row ``<rho, beta_coroot>`` (the coroot
-heights) and the anticanonical coefficients.  A class is paired with the
-table by clearing its denominators once and pairing the integer vector.
+heights) and the anticanonical coefficients.  ``_cleared`` is the one place
+a class's denominators are cleared, and the integer vector is what is paired.
 
 A Kahler reference ``omega`` is checked on every call, and reduced to its
 volume, integer contraction weights ``W[b] = lcm(p) / p[b]`` of its pairings
@@ -19,8 +19,8 @@ volume, integer contraction weights ``W[b] = lcm(p) / p[b]`` of its pairings
 ``W`` and ``S`` depend only on the ray of ``omega``, and the volume and scale
 on its multiplier along the ray, so the table is paired once per primitive
 integer ray, in a bounded cache keyed by the integer table and the ray.  A
-class ``x / d`` (integer ``x``) contracts to ``scale * (x . S) / d`` with no
-table pass, and ``(n-1)! * vol * scale * S`` is the degree vector.
+class ``x / d`` (integer ``x``) contracts to ``scale * (x . S) / d``, so a bundle
+``c`` is primitive iff ``c . S = 0``; ``(n-1)! * vol * scale * S`` is the degree vector.
 """
 
 from __future__ import annotations
@@ -144,6 +144,8 @@ class InvariantClass:
         return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other: "InvariantClass") -> "InvariantClass":
+        if not isinstance(other, InvariantClass):
+            raise InvalidParameter(f"expected an InvariantClass, got {other!r}")
         if len(self.coeffs) != len(other.coeffs):
             raise DimensionMismatch("classes live on different flags")
         if not self.is_zero and not other.is_zero and self.two_pi_power != other.two_pi_power:
@@ -187,7 +189,7 @@ def anticanonical_class(flag: ParabolicFlag) -> InvariantClass:
 
 def ricci_class(flag: ParabolicFlag) -> InvariantClass:
     """The Ricci form of any invariant Kahler metric: 2*pi times the anticanonical class."""
-    return anticanonical_class(flag).times_two_pi()
+    return InvariantClass(1, flag.anticanonical)
 
 
 def fano_index(flag: ParabolicFlag) -> int:
@@ -202,6 +204,12 @@ def is_kahler(flag: ParabolicFlag, c: InvariantClass) -> bool:
     return all(v.numerator > 0 for v in c.coeffs)
 
 
+def _cleared(c: InvariantClass) -> tuple[list[int], int]:
+    """Integer numerators ``x`` of a class over its least common denominator ``d``."""
+    d = lcm(*(v.denominator for v in c.coeffs))
+    return [v.numerator * (d // v.denominator) for v in c.coeffs], d
+
+
 def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
     """Integer pairings of a class with the table, and the denominator cleared.
 
@@ -211,9 +219,9 @@ def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
     coefficients are skipped, which makes bundle classes cheap to pair.
     """
     _check_class(flag, c)
-    d = lcm(*(v.denominator for v in c.coeffs))
-    ints = [(i, v.numerator * (d // v.denominator)) for i, v in enumerate(c.coeffs) if v]
-    return [sum(row[i] * x for i, x in ints) for row in flag.pairing_table], d
+    x, d = _cleared(c)
+    ints = [(i, v) for i, v in enumerate(x) if v]
+    return [sum(row[i] * v for i, v in ints) for row in flag.pairing_table], d
 
 
 # a Kahler reference: see _reference_weights
@@ -249,10 +257,10 @@ def _reference_weights(flag: ParabolicFlag, omega: InvariantClass) -> _Reference
     for the primitive integer ray ``r``, the pairings are ``m`` times those of
     ``r``, so only ``vol`` and ``scale`` depend on ``m`` and ``d``.
     """
-    if not is_kahler(flag, omega):
+    _check_class(flag, omega)
+    x, d = _cleared(omega)
+    if min(x) <= 0:
         raise NotKahler("reference class must have strictly positive coefficients")
-    d = lcm(*(v.denominator for v in omega.coeffs))
-    x = [v.numerator * (d // v.denominator) for v in omega.coeffs]
     m = gcd(*x)
     common, weights, sums, prod_p = _ray(flag.pairing_table, tuple(v // m for v in x))
     n = flag.dim_c
@@ -263,8 +271,8 @@ def _reference_weights(flag: ParabolicFlag, omega: InvariantClass) -> _Reference
 def _contraction(flag: ParabolicFlag, reference: _Reference, psi: InvariantClass) -> Fraction:
     """Rational part of the contraction of ``psi``: ``scale * (x . S) / d``, no table pass."""
     _check_class(flag, psi)
-    d = lcm(*(v.denominator for v in psi.coeffs))
-    total = sum(v.numerator * (d // v.denominator) * s for v, s in zip(psi.coeffs, reference.sums))
+    x, d = _cleared(psi)
+    total = sum(map(mul, x, reference.sums))
     return Fraction(total * reference.scale.numerator, d * reference.scale.denominator)
 
 

@@ -24,8 +24,7 @@ coordinates are certified by recombining them to the target exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import Sequence
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     _integer,
     _items,
 )
-from .flag_geometry import InvariantClass, ParabolicFlag, _check_class, _reference_weights
+from .flag_geometry import InvariantClass, ParabolicFlag, _check_class, _cleared, _reference_weights
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class LineBundleClass:
         object.__setattr__(self, "coeffs", coeffs)
 
     def to_class(self) -> InvariantClass:
-        return InvariantClass(0, tuple(Fraction(c) for c in self.coeffs))
+        return InvariantClass(0, self.coeffs)
 
     def scaled(self, m: int) -> "LineBundleClass":
         return LineBundleClass(tuple(m * c for c in self.coeffs))
@@ -75,12 +74,6 @@ class PrimitiveBasis:
     basis: tuple[LineBundleClass, ...]
 
 
-def _integral_representative(flag: ParabolicFlag, omega0: InvariantClass) -> InvariantClass:
-    """Scale a rational Kahler class to its minimal integral multiple, at 2*pi power 0."""
-    scale = lcm(*(c.denominator for c in omega0.coeffs))
-    return InvariantClass(0, tuple(c * scale for c in omega0.coeffs))
-
-
 def primitive_basis(
     flag: ParabolicFlag, omega0: InvariantClass, gamma: int | None = None
 ) -> PrimitiveBasis:
@@ -93,7 +86,7 @@ def primitive_basis(
     if flag.picard_rank < 2:
         raise PicardRankOne("degree-zero lattice is trivial for Picard rank one")
     _check_class(flag, omega0)
-    vol, _, scale, sums = _reference_weights(flag, _integral_representative(flag, omega0))
+    vol, _, scale, sums = _reference_weights(flag, InvariantClass(0, _cleared(omega0)[0]))
     if gamma is None:
         gamma = flag.complement[0]
     gamma = _integer(gamma, IndexOutOfRange, "pivot index")

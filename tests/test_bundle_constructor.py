@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -166,6 +167,9 @@ def test_verify_c1_trivial_rejections():
             verify_c1_trivial(first(power, coeffs))
     with pytest.raises(NotProportional, match="wrong 2\\*pi power"):
         verify_c1_trivial(first(0, (1, 1)))
+    # diagnostic data assembled directly may carry no curvature class at all
+    with pytest.raises(NotProportional, match="no first curvature class"):
+        verify_c1_trivial(replace(datum, psi=()))
     assert verify_c1_trivial(first(1, (-3, -3))) == F(-2, 3)
 
 
@@ -261,6 +265,68 @@ def test_lee_form_coefficients():
         lee_form_coefficients(flag, [theta], theta)
     with pytest.raises(NotKahler):
         lee_form_coefficients(flag, [theta, theta], class_from_coeffs(flag, [0, 1]))
+
+
+def test_each_bundle_is_checked_trivial_then_length_then_primitive():
+    flag = flag_of("A", 4)
+    theta = anticanonical_class(flag)
+    s = flag_geometry._reference_weights(flag, theta).sums
+    odd, even = degree_zero_bundles(flag, odd=True), degree_zero_bundles(flag, odd=False)
+
+    def gauduchon(first, *rest):
+        return build_t_gauduchon(flag, 1, F(-1), [first, *rest, *odd[1 + len(rest):]])
+
+    def balanced(first):
+        return build_balanced(flag, theta, [first, *even[1:]])
+
+    # a zero bundle of the wrong length is trivial before it is too long
+    zero_long = LineBundleClass((0,) * 5)
+    with pytest.raises(TrivialBundle) as err:
+        gauduchon(zero_long)
+    assert err.value.index == 1
+    with pytest.raises(DimensionMismatch):
+        balanced(zero_long)
+    # bundle 1 is checked in full before bundle 2
+    with pytest.raises(NotPrimitive) as err:
+        gauduchon(LineBundleClass((1, 0, 0, 0)), LineBundleClass((0, 0, 0, 0)))
+    assert err.value.index == 1
+    # a short bundle is too short whatever its truncated product with S:
+    # zero, so skipping the length check would accept it, or nonzero, so
+    # testing primitivity first would call it not primitive
+    for short in (LineBundleClass((s[1], -s[0], 0)), LineBundleClass((1, 0, 0))):
+        for build in (gauduchon, balanced):
+            with pytest.raises(DimensionMismatch):
+                build(short)
+
+
+def test_builders_accept_exactly_the_bundles_of_contraction_zero():
+    # the builders decide c . S = 0 in ints; the oracle contracts the
+    # bundle's Fraction class, and the curvature class is that class times 2*pi
+    rng = random.Random(1616)
+    verdicts = set()
+    for flag in [*grid_flags(), flag_of("E", 6), flag_of("F", 4), flag_of("G", 2)]:
+        rho, theta = flag.picard_rank, anticanonical_class(flag)
+        seeded = class_from_coeffs(flag, [F(rng.randint(1, 12), rng.randint(1, 6)) for _ in range(rho)])
+        for omega in (theta, seeded):
+            basis = primitive_basis(flag, omega).basis
+            vectors = [[rng.randint(-4, 4) for _ in range(rho)] for _ in range(3)]
+            for _ in range(3):
+                ms = [rng.randint(-3, 3) for _ in basis]
+                vectors.append([sum(m * xi.coeffs[i] for m, xi in zip(ms, basis)) for i in range(rho)])
+            for bundle in map(LineBundleClass, filter(any, vectors)):
+                primitive = lefschetz_contraction(flag, omega, bundle.to_class())[0] == 0
+                psi = bundle.to_class().times_two_pi()
+                runs = [(lambda: build_balanced(flag, omega, [bundle, bundle]).psi, (psi, psi))]
+                if omega is theta:
+                    runs.append((lambda: build_t_gauduchon(flag, 1, F(-1), [bundle]).psi[1:], (psi,)))
+                for run, expected in runs:
+                    if primitive:
+                        assert run() == expected
+                    else:
+                        with pytest.raises(NotPrimitive):
+                            run()
+                verdicts.add(primitive)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize(

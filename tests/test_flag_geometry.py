@@ -331,6 +331,8 @@ def test_invariant_class_arithmetic_guards():
         anticanonical_class(flag) + InvariantClass(0, (F(1),))
     with pytest.raises(DimensionMismatch):
         anticanonical_class(flag) + ricci_class(flag)
+    with pytest.raises(InvalidParameter, match="expected an InvariantClass, got None"):
+        anticanonical_class(flag) + None
     with pytest.raises(DimensionMismatch):
         lefschetz_contraction(flag, anticanonical_class(flag), InvariantClass(0, (F(1),)))
 
@@ -543,3 +545,20 @@ def test_every_cache_is_a_module_level_function_with_cache_clear():
     for cached in declared.values():
         cached.cache_clear()
         assert cached.cache_info().currsize == 0
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ re-exports what it imports, and pkgutil does not list it
+    unused = []
+    for info in pkgutil.iter_modules(flagcy.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"flagcy.{info.name}")))
+        imported = {
+            (a.asname or a.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for a in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{info.name}.{name}" for name in sorted(imported - used)]
+    assert unused == []
