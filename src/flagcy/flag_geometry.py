@@ -258,7 +258,11 @@ def _reference_weights(flag: ParabolicFlag, omega: InvariantClass) -> _Reference
     ``r``, so only ``vol`` and ``scale`` depend on ``m`` and ``d``.
     """
     _check_class(flag, omega)
-    x, d = _cleared(omega)
+    return _cleared_reference(flag, *_cleared(omega))
+
+
+def _cleared_reference(flag: ParabolicFlag, x: list[int], d: int) -> _Reference:
+    """``_reference_weights`` of the checked class ``x / d``, given its integer numerators."""
     if min(x) <= 0:
         raise NotKahler("reference class must have strictly positive coefficients")
     m = gcd(*x)

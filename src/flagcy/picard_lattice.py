@@ -35,7 +35,7 @@ from .errors import (
     _integer,
     _items,
 )
-from .flag_geometry import InvariantClass, ParabolicFlag, _check_class, _cleared, _reference_weights
+from .flag_geometry import InvariantClass, ParabolicFlag, _check_class, _cleared, _cleared_reference
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def primitive_basis(
     if flag.picard_rank < 2:
         raise PicardRankOne("degree-zero lattice is trivial for Picard rank one")
     _check_class(flag, omega0)
-    vol, _, scale, sums = _reference_weights(flag, InvariantClass(0, _cleared(omega0)[0]))
+    vol, _, scale, sums = _cleared_reference(flag, _cleared(omega0)[0], 1)
     if gamma is None:
         gamma = flag.complement[0]
     gamma = _integer(gamma, IndexOutOfRange, "pivot index")

@@ -5,16 +5,20 @@ the opposite big cell is the set of block-lower unipotent matrices with one
 complex coordinate per off-parabolic positive root, and the squared norm of
 the highest-weight vector of the k-th fundamental representation pulls back
 to the sum of squared absolute values of the k x k minors of the first k
-columns, computed by Cauchy-Binet from the singular values of the plane
-those columns span.  Potentials are (1/2*pi) log of those norms, weighted
-by the class coefficients, so their complex Hessians at the origin can be
-compared by finite differences against the exact pairing-ratio eigenvalues.
-A point lists its coordinates in the order of ``phi_complement``.  The
-chart and the potentials take one point or a stack of shape (..., dim_c);
-the Hessians at the origin of several classes at one step share one
-stack of distinct stencil points, one chart stack on it and one log norm per
-Picard direction any of them uses, and each is Hermitian by construction.
-So a check evaluates one stencil for both of its classes.
+columns.  By Cauchy-Binet that is a sum over the minors of the plane those
+columns span: in closed form for a plane of one or two columns (after a
+wide one is transposed), from its singular values otherwise.  Potentials
+are (1/2*pi) log of those norms, weighted by the class coefficients, so
+their complex Hessians at the origin can be compared by finite differences
+against the exact pairing-ratio eigenvalues.  Chart points must be finite,
+and a potential or a Hessian that leaves the float range is IllConditioned,
+with no numpy warning on the way.  A point lists its coordinates in the
+order of ``phi_complement``.  The chart and the potentials take one point or
+a stack of shape (..., dim_c); the Hessians at the origin of several classes
+at one step share one stack of distinct stencil points, one chart stack on
+it and one log norm per Picard direction any of them uses, and each is
+Hermitian by construction.  So a check evaluates one stencil for both of its
+classes.
 
 Other families raise UnsupportedType: their fundamental representations have
 no minor realization here, and the exact engine already covers them.
@@ -72,6 +76,8 @@ def unipotent_matrix(flag: ParabolicFlag, point: ArrayLike) -> np.ndarray:
         points = np.asarray(point, dtype=complex)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameter(f"chart points must be complex numbers, got {point!r}") from exc
+    if not np.isfinite(points).all():
+        raise InvalidParameter("chart points must be finite complex numbers")
     if points.ndim == 0 or points.shape[-1] != flag.dim_c:
         raise DimensionMismatch(
             f"points have shape {points.shape}, the cell has dimension {flag.dim_c}"
@@ -90,18 +96,31 @@ def _minor_norm_sq(mat: np.ndarray, alpha: int) -> np.ndarray:
     The sum of squared absolute values of the alpha x alpha minors of the
     first alpha columns ``[L; B]`` of ``mat``.  ``L`` is unit lower
     triangular, so the columns span the same plane as ``[I; C]`` with
-    ``C = B L^-1``, and by Cauchy-Binet the sum is ``det(I + C^H C)``, the
-    product of ``1 + s^2`` over the singular values ``s`` of ``C``.  No Gram
-    matrix is formed, so the norm keeps its accuracy at large and nearly
-    degenerate points; it is 1 at the origin and >= 1 everywhere.
+    ``C = B L^-1``, and by Cauchy-Binet the sum is ``det(I + C^H C)``: the
+    sum of the squared absolute values of the square minors of ``C`` of
+    every size, 1 for the empty one.  ``det(I + C C^H)`` is the same sum, so
+    a wide ``C`` is transposed to a tall one.  With one column that is
+    ``1 + |C|_F^2``, with two columns ``1 + |C|_F^2`` plus the squared 2 x 2
+    minors, and with more it is the product of ``1 + s^2`` over the singular
+    values ``s`` of ``C``.  Every term is >= 0 and no Gram matrix is formed,
+    so the norm keeps its accuracy at large and nearly degenerate points; it
+    is 1 at the origin and >= 1 everywhere.
     """
     top, coords = mat[..., :alpha, :alpha], mat[..., alpha:, :alpha].copy()
     # C L = B column by column, from the last: L has ones on its diagonal
     for j in range(alpha - 2, -1, -1):
         coords[..., j] -= (coords[..., j + 1 :] @ top[..., j + 1 :, j, None])[..., 0]
-    if min(coords.shape[-2:]) == 1:  # one singular value: the Frobenius norm
-        return 1.0 + (coords.real**2 + coords.imag**2).sum(axis=(-2, -1))
-    return np.prod(1.0 + np.linalg.svd(coords, compute_uv=False) ** 2, axis=-1)
+    if coords.shape[-1] > coords.shape[-2]:
+        coords = coords.swapaxes(-2, -1)
+    if coords.shape[-1] > 2:
+        return np.prod(1.0 + np.linalg.svd(coords, compute_uv=False) ** 2, axis=-1)
+    norm = 1.0 + (coords.real**2 + coords.imag**2).sum(axis=(-2, -1))
+    if coords.shape[-1] == 2:
+        i, k = np.triu_indices(coords.shape[-2], 1)
+        left, right = coords[..., 0], coords[..., 1]
+        minors = left[..., i] * right[..., k] - left[..., k] * right[..., i]
+        norm += (minors.real**2 + minors.imag**2).sum(axis=-1)
+    return norm
 
 
 def _float_coeffs(c: InvariantClass) -> list[float]:
@@ -138,15 +157,20 @@ def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: ArrayLi
 
     Positive coefficients give Kahler potentials; arbitrary rational vectors
     are admitted so that differences of potentials can represent any class.
-    Coefficients must be rationals, finite as floats.  A float for one point,
-    an array for a stack of points.
+    Coefficients must be rationals, finite as floats, and chart points
+    finite; a potential that leaves the float range is IllConditioned.  A
+    float for one point, an array for a stack of points.
     """
     _require_type_a(flag)
     values = _float_coeffs(class_from_coeffs(flag, coefficients))
-    total = _potentials(flag, [values], point)[0]
+    with np.errstate(all="ignore"):
+        total = _potentials(flag, [values], point)[0]
+    if not np.isfinite(total).all():
+        raise IllConditioned("the potential leaves the float range at a chart point")
     return float(total) if total.ndim == 0 else total
 
 
+@np.errstate(all="ignore")
 def _hessians_at_origin(flag: ParabolicFlag, classes: Sequence, h: float) -> np.ndarray:
     """Complex Hessians at the origin of the classes' potentials, shape ``(len(classes), n, n)``.
 
@@ -155,7 +179,9 @@ def _hessians_at_origin(flag: ParabolicFlag, classes: Sequence, h: float) -> np.
     diagonal and 8n(n-1) cross stencil points are stacked and every class's
     potential is evaluated on them in one call, on one chart stack.  Each
     entry below the diagonal is the conjugate of the one above, so every
-    Hessian is Hermitian by construction.  ``h`` is a validated step.
+    Hessian is Hermitian by construction.  ``h`` is a validated step; a
+    Hessian with a non-finite entry is IllConditioned, with no warning on
+    the way.
     """
     rows = [_float_coeffs(c) for c in classes]
     m, n = len(rows), flag.dim_c
@@ -181,6 +207,8 @@ def _hessians_at_origin(flag: ParabolicFlag, classes: Sequence, h: float) -> np.
     im = 0.25 * (second[..., 0, 1] - second[..., 1, 0])
     H[:, j, k] = re + 1j * im
     H[:, k, j] = H[:, j, k].conj()
+    if not np.isfinite(H).all():
+        raise IllConditioned(f"a Hessian at step {h} has a non-finite entry")
     return H
 
 
@@ -191,7 +219,7 @@ def numeric_form_at_origin(
 
     The stencil is stacked and the potential evaluated on it once; the
     result is Hermitian by construction.  ``step`` must be finite and
-    positive.
+    positive; a Hessian with a non-finite entry is IllConditioned.
     """
     _require_type_a(flag)
     h = _finite_positive("step", step)
@@ -234,11 +262,9 @@ def check_eigenvalue_formula(
         raise NotKahler("metric coefficients must be strictly positive")
     exact = tuple(sorted(endomorphism_eigenvalues(flag, omega, psi)))
 
-    # non-finite intermediates are reported as IllConditioned, not as warnings
+    H_omega, H_psi = _hessians_at_origin(flag, [omega, psi], step)
+    # a spectrum that leaves the float range is IllConditioned, not a warning
     with np.errstate(all="ignore"):
-        H_omega, H_psi = _hessians_at_origin(flag, [omega, psi], step)
-        if not (np.isfinite(H_omega).all() and np.isfinite(H_psi).all()):
-            raise IllConditioned(f"a Hessian at step {step} has a non-finite entry")
         try:
             if np.linalg.cond(H_omega) > _COND_LIMIT:
                 raise IllConditioned("metric Hessian is numerically singular")

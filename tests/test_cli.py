@@ -94,15 +94,16 @@ def test_primitive_basis_a3(capsys):
 
 def test_primitive_basis_pairs_every_generator_with_one_weight_vector(capsys, monkeypatch):
     built = []
-    original = flag_geometry._reference_weights
+    original = flag_geometry._cleared_reference
 
-    def counted(flag, omega):
-        built.append(omega)
-        return original(flag, omega)
+    def counted(flag, x, d):
+        built.append((x, d))
+        return original(flag, x, d)
 
-    # picard_lattice holds its own reference to the function, so count both
-    monkeypatch.setattr(flag_geometry, "_reference_weights", counted)
-    monkeypatch.setattr(picard_lattice, "_reference_weights", counted)
+    # every reference is built here, from _reference_weights or from
+    # primitive_basis; picard_lattice holds its own name for it, so count both
+    monkeypatch.setattr(flag_geometry, "_cleared_reference", counted)
+    monkeypatch.setattr(picard_lattice, "_cleared_reference", counted)
     code, report = run_json(capsys, "primitive-basis", "A", "6", "--omega0=1,2,3,4,5,6")
     assert code == 0
     assert len(report["results"]["degrees"]) == 5

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flagcy.flag_geometry as flag_geometry
+import flagcy.picard_lattice as picard_lattice
 from flagcy import (
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
     LineBundleClass,
@@ -242,3 +245,31 @@ def test_bundle_coefficients_are_integral_or_rejected(coeffs):
     if x is not None:
         assert tuple(x[0] * c for c in pb.basis[0].coeffs) == tuple(coeffs)
     assert (x is not None) == (sum(bundle.coeffs) == 0)
+
+
+def test_primitive_basis_checks_and_clears_the_class_once(monkeypatch):
+    flag = flag_of("A", 4)
+    omega = class_from_coeffs(flag, [F(1, 2), 1, 2, 3])
+    expected = primitive_basis(flag, omega)
+    calls = {"_check_class": 0, "_cleared": 0}
+    for name in calls:
+        original = getattr(flag_geometry, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        # picard_lattice holds its own names for the helpers, so patch both
+        monkeypatch.setattr(flag_geometry, name, counted)
+        monkeypatch.setattr(picard_lattice, name, counted)
+    assert primitive_basis(flag, omega) == expected
+    assert calls == {"_check_class": 1, "_cleared": 1}
+    # q and tau are those of the minimal integral multiple (1, 2, 4, 6)
+    assert expected == primitive_basis(flag, class_from_coeffs(flag, [1, 2, 4, 6]))
+    # the class is checked before the pivot, its length before its positivity
+    with pytest.raises(InvalidParameter):
+        primitive_basis(flag, (1, 2, 4, 6), gamma=9)
+    with pytest.raises(DimensionMismatch):
+        primitive_basis(flag, class_from_coeffs(flag_of("A", 3), [0, 1, 2]), gamma=9)
+    with pytest.raises(NotKahler):
+        primitive_basis(flag, class_from_coeffs(flag, [0, 1, 2, 3]), gamma=9)

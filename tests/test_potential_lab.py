@@ -49,6 +49,32 @@ def minor_sum(mats, alpha):
     return sum(np.abs(np.linalg.det(mats[:, list(r), :alpha])) ** 2 for r in rows)
 
 
+def exact_minor_sum(mat, alpha):
+    """Oracle: the minor sum of one chart matrix's float entries, in exact rationals.
+
+    ``|det M|^2`` is the determinant of the real form ``[[Re M, -Im M], [Im M, Re M]]``.
+    """
+    total = Fraction(0)
+    for rows in combinations(range(mat.shape[-1]), alpha):
+        block = mat[list(rows), :alpha]
+        real = np.block([[block.real, -block.imag], [block.imag, block.real]])
+        m = [[Fraction(float(v)) for v in row] for row in real]
+        det = Fraction(1)
+        for c in range(len(m)):
+            pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+            if pivot is None:
+                det = Fraction(0)
+                break
+            if pivot != c:
+                m[c], m[pivot], det = m[pivot], m[c], -det
+            det *= m[c][c]
+            for r in range(c + 1, len(m)):
+                f = m[r][c] / m[c][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+        total += det
+    return float(total)
+
+
 X, Y = 30000 + 10000j, 20000 - 5000j
 
 #: points where the terms of a Gram determinant reach up to 1e24 times the norm
@@ -62,22 +88,61 @@ LARGE_AND_DEGENERATE = {
         [X, Y, X * Y + 1],
     ],
     3: [[1e5] * 6, [1, 2e4, 3, 4e4, 5, 6e4]],  # every 2x2 minor of a constant block vanishes
-    4: [[1e4 + 7j * k for k in range(10)]],
+    # A4 and A5: the 2 x 3 and 2 x 4 planes of rows 3, 4 (rows 4, 5) are nearly
+    # parallel rows of 1e8, and the two-column planes are of rank one or, at
+    # the points in X and Y, nearly so after L^-1 removes a large multiple
+    4: [
+        [1e4 + 7j * k for k in range(10)],
+        [0, 0, 3e8, 0, 0, 2e8, 3e8 + 1, 1e8, 2e8, 1e8],
+        [X, Y, 0, 0, (X + 1) * Y + 1, 2 * Y, 0, 2 * (X + 1) * Y, 3 * Y, 3 * (X + 1) * Y],
+    ],
+    5: [
+        [1e5] * 15,
+        [0, 0, 0, 4e8, 0, 0, 0, 3e8, 4e8 + 1, 0, 2e8, 3e8, 1e8, 2e8, 1e8],
+        [X, Y, 0, 0, 0, (X + 1) * Y + 1, 2 * Y, 0, 0, 2 * (X + 1) * Y, 3 * Y, 0]
+        + [3 * (X + 1) * Y, 4 * Y, 4 * (X + 1) * Y],
+    ],
 }
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
 def test_norm_sq_is_the_minor_sum(rank):
     # Cauchy-Binet, for every fundamental direction, at seeded Gaussian
-    # points and at large and nearly degenerate ones
+    # points against float determinants, and at large and nearly degenerate
+    # ones against exact ones: there float determinants are off by up to 2.5e-8
     flag = flag_of("A", rank)
     rng = np.random.default_rng(rank)
     points = rng.normal(size=(30, flag.dim_c)) + 1j * rng.normal(size=(30, flag.dim_c))
     extra = np.array(LARGE_AND_DEGENERATE.get(rank, []), dtype=complex).reshape(-1, flag.dim_c)
-    mats = unipotent_matrix(flag, np.concatenate([points, extra]))
+    mats, hard = unipotent_matrix(flag, points), unipotent_matrix(flag, extra)
     for alpha in range(1, rank + 1):
         got = potential_lab._minor_norm_sq(mats, alpha)
         np.testing.assert_allclose(got, minor_sum(mats, alpha), rtol=1e-10)
+        got = potential_lab._minor_norm_sq(hard, alpha)
+        np.testing.assert_allclose(got, [exact_minor_sum(m, alpha) for m in hard], rtol=1e-10)
+
+
+def test_norm_sq_takes_the_svd_only_beyond_two_columns(monkeypatch):
+    # a plane with one or two columns, after a wide one is transposed, has a
+    # closed form; only a 3 x 3 or larger plane (A5 alpha_3, A6 alpha_3 and
+    # alpha_4) reaches the SVD
+    class SVDCalled(Exception):
+        pass
+
+    def no_svd(*args, **kwargs):
+        raise SVDCalled
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for rank in range(2, 7):
+        flag = flag_of("A", rank)
+        mats = unipotent_matrix(flag, _random_points(flag, (8,), seed=rank))
+        for alpha in range(1, rank + 1):
+            if min(alpha, rank + 1 - alpha) <= 2:
+                got = potential_lab._minor_norm_sq(mats, alpha)
+                np.testing.assert_allclose(got, minor_sum(mats, alpha), rtol=1e-10)
+            else:
+                with pytest.raises(SVDCalled):
+                    potential_lab._minor_norm_sq(mats, alpha)
 
 
 def test_norm_sq_is_one_at_origin():
@@ -134,6 +199,21 @@ def test_potential_input_validation():
         unipotent_matrix(flag, "x")
     with pytest.raises(InvalidParameter):
         kahler_potential(flag, [1, 1], ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("rank, parabolic", [(2, []), (3, []), (5, [2, 4])])
+def test_non_finite_chart_points_rejected(rank, parabolic):
+    # None becomes nan + nan*j in a complex array
+    flag = flag_of("A", rank, parabolic)
+    coeffs = [1] * flag.picard_rank
+    for bad in (float("nan"), float("inf"), -float("inf"), complex(0, float("nan")), None):
+        stack = _random_points(flag, (3,), seed=rank)
+        stack[1, -1] = np.nan if bad is None else bad
+        for point in ([bad] * flag.dim_c, [0] * (flag.dim_c - 1) + [bad], stack):
+            with pytest.raises(InvalidParameter, match="finite"):
+                unipotent_matrix(flag, point)
+            with pytest.raises(InvalidParameter, match="finite"):
+                kahler_potential(flag, coeffs, point)
 
 
 def test_numeric_form_projective_line():
@@ -421,6 +501,14 @@ def test_non_finite_hessian_is_ill_conditioned():
     for step in (1e-300, 1e-200, 1e300):
         with pytest.raises(IllConditioned, match="non-finite entry"):
             check_eigenvalue_formula(flag, [2, 2], [1, 0], step=step)
+    for step in (1e-300, 1e300, 1.7e308):
+        with pytest.raises(IllConditioned, match="non-finite entry"):
+            numeric_form_at_origin(flag_of("A", 3), [1, 1, 1], step=step)
+    # finite chart points whose norms overflow a float
+    with pytest.raises(IllConditioned, match="float range"):
+        kahler_potential(flag, [1, 1], [1e200] * 3)
+    with pytest.raises(IllConditioned, match="float range"):
+        kahler_potential(flag_of("A", 3), [1, 1, 1], [[0] * 6, [1e200] * 6])
     # finite Hessians whose spectrum overflows a float
     with pytest.raises(IllConditioned, match="float range"):
         check_eigenvalue_formula(flag, [F(1, 10**10), F(1, 10**10)], [10**300, 10**300])
