@@ -14,9 +14,9 @@ by these data and add nothing checkable at this layer):
 * a balanced datum over an arbitrary invariant Kahler class whose curvature
   classes are all degree zero, making the bundle metric coclosed.
 
-Verification functions return the residuals exactly; builders validate
-every hypothesis and fail loudly, while data for diagnostics can be
-assembled directly from the dataclasses.
+Verifiers return residuals exactly (a class of nonzero contraction in the Ricci
+residual must carry 2*pi power 1); builders validate every hypothesis and fail
+loudly, while diagnostic data can be assembled directly from the dataclasses.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import (
+    DimensionMismatch,
     InvalidParameter,
     NotPrimitive,
     NotProportional,
@@ -41,10 +42,10 @@ from .flag_geometry import (
     ParabolicFlag,
     _Reference,
     _check_class,
+    _cleared,
     _contraction,
     _reference_weights,
     fano_index,
-    ricci_class,
 )
 from .picard_lattice import LineBundleClass
 
@@ -87,7 +88,14 @@ def _exact_k_t(k, t) -> tuple[int, Fraction]:
 
 
 def _scale(flag: ParabolicFlag, k: int, t: Fraction, index: int) -> Fraction:
-    return (1 - t) / 2 * Fraction(k * k * flag.dim_c, index * index)
+    return Fraction((t.denominator - t.numerator) * k * k * flag.dim_c, 2 * t.denominator * index**2)
+
+
+def _datum(datum, kinds=(GauduchonDatum, BalancedDatum)) -> tuple[ParabolicFlag, tuple]:
+    """The flag and curvature classes of a datum of one of ``kinds``, else InvalidParameter."""
+    if not isinstance(datum, kinds):
+        raise InvalidParameter(f"expected a {' or '.join(k.__name__ for k in kinds)}, got {datum!r}")
+    return datum.flag, _items(datum.psi, InvalidParameter, "curvature classes")
 
 
 def _curvature_classes(
@@ -157,10 +165,9 @@ def build_t_gauduchon(
     ell = flag.anticanonical
     omega0 = InvariantClass(1, tuple(scale * l for l in ell))
     curvatures = _curvature_classes(flag, _reference_weights(flag, omega0), bundles, nontrivial=True)
-    psi_first = InvariantClass(1, tuple(Fraction(k * l, index) for l in ell))
-    if any(c.denominator != 1 for c in psi_first.coeffs):
+    if any(k * l % index for l in ell):
         raise AssertionError("anticanonical coefficients are not divisible by the index")
-    psi = (psi_first,) + curvatures
+    psi = (InvariantClass(1, tuple(k * l // index for l in ell)),) + curvatures
     return GauduchonDatum(flag, t, scale, omega0, psi)
 
 
@@ -169,18 +176,22 @@ def verify_ricci_flat(datum: GauduchonDatum) -> InvariantClass:
 
     Computes the Ricci class plus (t-1)/2 times the contraction-weighted sum
     of the curvature classes; a nonzero result is reported verbatim as the
-    diagnosis.
+    diagnosis.  A class of nonzero contraction at a 2*pi power other than the
+    Ricci class's 1 raises DimensionMismatch; one of zero contraction adds nothing.
     """
-    residual = ricci_class(datum.flag)
+    flag, psi = _datum(datum, (GauduchonDatum,))
+    reference = _reference_weights(flag, datum.omega0)
     factor = (datum.t - 1) / 2
-    reference = _reference_weights(datum.flag, datum.omega0)
-    for psi_j in datum.psi:
-        value = _contraction(datum.flag, reference, psi_j)
-        # adding psi_j scaled by 0 (the zero class, power 0) changes nothing,
-        # and _contraction has already checked psi_j's length
+    residual = flag.anticanonical
+    for psi_j in psi:
+        # _contraction checks psi_j's length before anything is added
+        value = _contraction(flag, reference, psi_j)
         if value:
-            residual = residual + psi_j.scaled(factor * value)
-    return residual
+            if psi_j.two_pi_power != 1:
+                raise DimensionMismatch("a class of nonzero contraction is not at 2*pi power 1")
+            s = factor * value
+            residual = [r + s * c for r, c in zip(residual, psi_j.coeffs)]
+    return InvariantClass(1, residual)
 
 
 def verify_c1_trivial(datum: GauduchonDatum) -> Fraction:
@@ -188,20 +199,20 @@ def verify_c1_trivial(datum: GauduchonDatum) -> Fraction:
 
     The ratio exists (index / k) for every built datum and certifies that the
     Chern Ricci form pulls back to an exact form upstairs, so the total space
-    has vanishing first Chern class.
+    has vanishing first Chern class.  With the first class cleared to ``x / d``
+    and no zero in ``l``, that is ``x_0 != 0`` and ``l_i * x_0 == l_0 * x_i``.
     """
-    rho = ricci_class(datum.flag)
-    if not datum.psi:
+    flag, psi = _datum(datum)
+    if not psi:
         raise NotProportional("no first curvature class")
-    first = datum.psi[0]
-    pairs = tuple(zip(rho.coeffs, first.coeffs))
-    ratio = next((r_c / f_c for r_c, f_c in pairs if f_c), None)
-    # with no nonzero first coefficient, proportionality needs a zero Ricci class
-    if any(r_c != (ratio or 0) * f_c for r_c, f_c in pairs):
+    _check_class(flag, psi[0])
+    x, d = _cleared(psi[0])
+    ell = flag.anticanonical
+    if not x[0] or any(l * x[0] != ell[0] * v for l, v in zip(ell, x)):
         raise NotProportional("Ricci class is not proportional to the first curvature")
-    if ratio is None or rho.two_pi_power != first.two_pi_power:
+    if psi[0].two_pi_power != 1:
         raise NotProportional("first curvature class is zero or carries the wrong 2*pi power")
-    return ratio
+    return Fraction(ell[0] * d, x[0])
 
 
 def build_balanced(
@@ -223,8 +234,9 @@ def build_balanced(
 
 def verify_coclosed(datum: BalancedDatum) -> tuple[Fraction, ...]:
     """Contractions of the curvature classes; the zero vector certifies coclosedness."""
-    reference = _reference_weights(datum.flag, datum.omega0)
-    return tuple(_contraction(datum.flag, reference, psi_j) for psi_j in datum.psi)
+    flag, psi = _datum(datum)
+    reference = _reference_weights(flag, datum.omega0)
+    return tuple(_contraction(flag, reference, psi_j) for psi_j in psi)
 
 
 def lee_form_coefficients(
@@ -243,8 +255,4 @@ def lee_form_coefficients(
     if len(psi) % 2 != 0:
         raise OddCount(f"need an even number of curvature classes, got {len(psi)}")
     values = [_contraction(flag, reference, p) for p in psi]
-    out: list[Fraction] = []
-    for j in range(0, len(psi), 2):
-        out.append(values[j + 1])
-        out.append(-values[j])
-    return tuple(out)
+    return tuple(v for odd, even in zip(values[::2], values[1::2]) for v in (even, -odd))

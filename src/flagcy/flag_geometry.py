@@ -43,6 +43,8 @@ from .errors import (
 )
 from .root_system import PositiveRoot, RootDatum
 
+_ZERO = Fraction(0)  # what _contraction returns for every degree-zero class
+
 
 @dataclass(frozen=True)
 class ParabolicFlag:
@@ -206,8 +208,9 @@ def is_kahler(flag: ParabolicFlag, c: InvariantClass) -> bool:
 
 def _cleared(c: InvariantClass) -> tuple[list[int], int]:
     """Integer numerators ``x`` of a class over its least common denominator ``d``."""
-    d = lcm(*(v.denominator for v in c.coeffs))
-    return [v.numerator * (d // v.denominator) for v in c.coeffs], d
+    dens = [v.denominator for v in c.coeffs]
+    x, d = [v.numerator for v in c.coeffs], lcm(*dens)
+    return (x if d == 1 else [v * (d // e) for v, e in zip(x, dens)]), d
 
 
 def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
@@ -277,6 +280,8 @@ def _contraction(flag: ParabolicFlag, reference: _Reference, psi: InvariantClass
     _check_class(flag, psi)
     x, d = _cleared(psi)
     total = sum(map(mul, x, reference.sums))
+    if not total:
+        return _ZERO
     return Fraction(total * reference.scale.numerator, d * reference.scale.denominator)
 
 

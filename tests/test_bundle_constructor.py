@@ -8,6 +8,8 @@ import flagcy.flag_geometry as flag_geometry
 from flagcy import (
     BalancedDatum,
     DimensionMismatch,
+    FlagcyError,
+    GauduchonDatum,
     InvalidParameter,
     InvariantClass,
     LineBundleClass,
@@ -140,6 +142,19 @@ def test_verify_ricci_flat_skips_only_zero_contractions():
         verify_ricci_flat(replace(datum, psi=(first, *datum.psi[1:])))
 
 
+@pytest.mark.parametrize("t", [F(-1), F(0), F(1)])
+def test_verify_ricci_flat_power_rule_ignores_the_order_of_psi(t):
+    # at t = -1 the Ricci class and the first term cancel, so a partial sum
+    # that is zero must not adopt the power of the class that follows it
+    flag = flag_of("A", 3)
+    datum = build_t_gauduchon(flag, 1, t, degree_zero_bundles(flag, odd=True), diagnostic=True)
+    x = InvariantClass(2, (1, 0, 0))
+    assert lefschetz_contraction(flag, datum.omega0, x)[0] != 0
+    for psi in ((datum.psi[0], x), (x, datum.psi[0]), (*datum.psi, x), (x, *datum.psi)):
+        with pytest.raises(DimensionMismatch):
+            verify_ricci_flat(replace(datum, psi=psi))
+
+
 def test_verify_ricci_flat_chern_parameter_residual():
     flag = flag_of("A", 2)
     datum = build_t_gauduchon(flag, 1, F(1), degree_zero_bundles(flag, odd=True), diagnostic=True)
@@ -171,6 +186,22 @@ def test_verify_c1_trivial_rejections():
     with pytest.raises(NotProportional, match="no first curvature class"):
         verify_c1_trivial(replace(datum, psi=()))
     assert verify_c1_trivial(first(1, (-3, -3))) == F(-2, 3)
+    # on full A3 (anticanonical (2, 2, 2)) a first class of the wrong length
+    # is not cut to its proportional part, and a non-class is a typed error,
+    # as in verify_ricci_flat
+    a3 = flag_of("A", 3)
+    a3_datum = build_t_gauduchon(a3, 1, F(-1), degree_zero_bundles(a3, odd=True))
+    for bad, error in [
+        (InvariantClass(1, (2,)), DimensionMismatch),
+        (InvariantClass(1, (1, 1, 1, 5)), DimensionMismatch),
+        (InvariantClass(1, (0, 0)), DimensionMismatch),
+        ("x", InvalidParameter),
+        (None, InvalidParameter),
+        (a3_datum.psi[0].coeffs, InvalidParameter),
+    ]:
+        for verify in (verify_c1_trivial, verify_ricci_flat):
+            with pytest.raises(error):
+                verify(replace(a3_datum, psi=(bad, *a3_datum.psi[1:])))
 
 
 def test_contraction_scale_relation():
@@ -392,3 +423,126 @@ def test_each_reference_ray_is_paired_once(monkeypatch):
         assert rays == [ray] * 3
         assert ray_cache.cache_info().misses == 1
     assert paired == []
+
+
+# The verifiers recomputed the earlier way, in Fractions: each contraction
+# through lefschetz_contraction, each term as a scaled class added to the
+# Ricci class, and the c_1 ratio as a Fraction quotient.
+
+
+def oracle_ricci_residual(datum):
+    residual = ricci_class(datum.flag)
+    factor = (datum.t - 1) / 2
+    for psi_j in datum.psi:
+        value = lefschetz_contraction(datum.flag, datum.omega0, psi_j)[0]
+        if value:
+            if psi_j.two_pi_power != ricci_class(datum.flag).two_pi_power:
+                raise DimensionMismatch("power rule")
+            residual = residual + psi_j.scaled(factor * value)
+    return residual
+
+
+def oracle_c1_ratio(datum):
+    rho = ricci_class(datum.flag)
+    if not datum.psi:
+        raise NotProportional("no first class")
+    first = datum.psi[0]
+    if not isinstance(first, InvariantClass):
+        raise InvalidParameter("not a class")
+    if len(first.coeffs) != len(rho.coeffs):
+        raise DimensionMismatch("length")
+    ratio = next((r / f for r, f in zip(rho.coeffs, first.coeffs) if f), None)
+    if ratio is None or any(r != ratio * f for r, f in zip(rho.coeffs, first.coeffs)):
+        raise NotProportional("not proportional")
+    if first.two_pi_power != rho.two_pi_power:
+        raise NotProportional("power")
+    return ratio
+
+
+def oracle_coclosed(datum):
+    return tuple(lefschetz_contraction(datum.flag, datum.omega0, p)[0] for p in datum.psi)
+
+
+def oracle_lee(flag, psi, omega0):
+    if len(psi) % 2:
+        raise OddCount("odd")
+    values = [lefschetz_contraction(flag, omega0, p)[0] for p in psi]
+    out = []
+    for j in range(0, len(values), 2):
+        out += [values[j + 1], -values[j]]
+    return tuple(out)
+
+
+def outcome(call, *args):
+    """The value of a call, or the type of the FlagcyError it raised."""
+    try:
+        value = call(*args)
+    except FlagcyError as exc:
+        return type(exc)
+    if isinstance(value, tuple):
+        assert all(type(v) is F for v in value)
+    return value
+
+
+def test_verifiers_match_fraction_oracle():
+    rng = random.Random(1818)
+
+    def rational(low=-6, high=6):
+        return F(rng.randint(low, high), rng.randint(1, 5))
+
+    reached = set()
+    for flag in [*grid_flags(), flag_of("E", 6), flag_of("F", 4), flag_of("G", 2)]:
+        rho = flag.picard_rank
+        odd = degree_zero_bundles(flag, odd=True)
+        data = []
+        for k in rng.sample((-3, -2, -1, 1, 2, 3), 2):
+            for t in (F(rng.randint(-4, 0), rng.randint(1, 3)), F(1)):
+                datum = build_t_gauduchon(flag, k, t, odd, diagnostic=True)
+                first = datum.psi[0]
+                degree_zero = InvariantClass(2, datum.psi[1].coeffs)
+                nonzero = InvariantClass(2, first.coeffs)
+                pos = rng.randint(0, len(datum.psi))
+                data += [
+                    datum,
+                    replace(datum, t=rational()),
+                    replace(datum, t=F(1)),
+                    replace(datum, psi=tuple(p.scaled(rational()) for p in datum.psi)),
+                    replace(datum, psi=(*datum.psi[:pos], degree_zero, *datum.psi[pos:])),
+                    replace(datum, psi=(*datum.psi, nonzero)),
+                    replace(datum, psi=(first.scaled(rational(1, 6)), *datum.psi[1:])),
+                    replace(datum, psi=(InvariantClass(1, first.coeffs[:-1]), *datum.psi[1:])),
+                    replace(datum, psi=(InvariantClass(1, first.coeffs + (1,)), *datum.psi[1:])),
+                    replace(datum, psi=(InvariantClass(1, [rational() for _ in range(rho)]), *datum.psi)),
+                    replace(datum, psi=("x", *datum.psi[1:])),
+                ]
+        omega = class_from_coeffs(flag, [rational(1, 12) for _ in range(rho)])
+        bundles = list(primitive_basis(flag, omega).basis)
+        balanced = build_balanced(flag, omega, bundles + bundles[:1] if len(bundles) % 2 else bundles)
+        mixed = tuple(InvariantClass(rng.randint(0, 2), [rational() for _ in range(rho)]) for _ in range(3))
+        data += [balanced, replace(balanced, psi=balanced.psi + mixed)]
+        for datum in data:
+            calls = [
+                (verify_coclosed, oracle_coclosed, (datum,)),
+                (lee_form_coefficients, oracle_lee, (flag, datum.psi, datum.omega0)),
+            ]
+            if isinstance(datum, GauduchonDatum):
+                calls.append((verify_ricci_flat, oracle_ricci_residual, (datum,)))
+                calls.append((verify_c1_trivial, oracle_c1_ratio, (datum,)))
+            for verify, oracle, args in calls:
+                result = outcome(verify, *args)
+                assert result == outcome(oracle, *args), (verify.__name__, args)
+                if isinstance(result, (type, F)):
+                    reached.add((verify.__name__, result if isinstance(result, type) else F))
+                else:
+                    zero = result.is_zero if isinstance(result, InvariantClass) else not any(result)
+                    reached.add((verify.__name__, zero))
+    # every verifier reached zero and nonzero results (c_1: a ratio) and its typed errors
+    names = ("verify_coclosed", "lee_form_coefficients", "verify_ricci_flat", "verify_c1_trivial")
+    errors = (DimensionMismatch, InvalidParameter)
+    assert reached == {
+        *((name, zero) for name in names[:3] for zero in (True, False)),
+        *((name, error) for name in names for error in errors),
+        ("lee_form_coefficients", OddCount),
+        ("verify_c1_trivial", NotProportional),
+        ("verify_c1_trivial", F),
+    }

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import pkgutil
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
@@ -35,11 +36,18 @@ from flagcy import (
     make_flag,
     primitive_basis,
     ricci_class,
+    verify_c1_trivial,
+    verify_coclosed,
+    verify_ricci_flat,
     volume,
 )
 from conftest import flag_of, grid_flags
 
 F = Fraction
+
+
+def _gauduchon(flag):
+    return build_t_gauduchon(flag, 1, -1, [LineBundleClass((-1, 1))])
 
 
 def small_flags(max_rank=5):
@@ -429,11 +437,35 @@ def test_non_iterable_vector_input_is_a_typed_error(call, error):
             id="potential-huge",
         ),
         pytest.param(lambda f, w: LieType(["A"], 2), InvalidRank, id="LieType-list"),
+        *[
+            pytest.param(
+                lambda f, w, verify=verify, psi=psi: verify(replace(_gauduchon(f), psi=psi)),
+                InvalidParameter,
+                id=f"{verify.__name__}-psi-{psi!r}",
+            )
+            for verify in (verify_ricci_flat, verify_c1_trivial, verify_coclosed)
+            for psi in (None, 5)
+        ],
+        *[
+            pytest.param(
+                lambda f, w, verify=verify, datum=datum: verify(datum),
+                InvalidParameter,
+                id=f"{verify.__name__}-{datum!r}",
+            )
+            for verify in (verify_ricci_flat, verify_c1_trivial, verify_coclosed)
+            for datum in (None, 5, ())
+        ],
+        pytest.param(
+            lambda f, w: verify_ricci_flat(build_balanced(f, w, [LineBundleClass((-1, 1))] * 2)),
+            InvalidParameter,
+            id="verify_ricci_flat-BalancedDatum",
+        ),
     ],
 )
 def test_wrong_object_input_is_a_typed_error(call, error):
-    # a non-class, a plain tuple for a bundle, an out-of-range point or an
-    # unhashable family ends in a FlagcyError, never in a raw Python error
+    # a non-class, a plain tuple for a bundle, an out-of-range point, an
+    # unhashable family, or a datum that is not one or whose curvature classes
+    # are not a sequence ends in a FlagcyError, never in a raw Python error
     flag = flag_of("A", 2)
     with pytest.raises(error):
         call(flag, anticanonical_class(flag))
