@@ -14,9 +14,9 @@ by these data and add nothing checkable at this layer):
 * a balanced datum over an arbitrary invariant Kahler class whose curvature
   classes are all degree zero, making the bundle metric coclosed.
 
-Verifiers return residuals exactly (a class of nonzero contraction in the Ricci
-residual must carry 2*pi power 1); builders validate every hypothesis and fail
-loudly, while diagnostic data can be assembled directly from the dataclasses.
+Verifiers return residuals exactly (the base class and every class of nonzero
+contraction in the Ricci residual must carry 2*pi power 1); builders validate
+every hypothesis and fail loudly, while diagnostic data can be assembled directly.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def _datum(datum, kinds=(GauduchonDatum, BalancedDatum)) -> tuple[ParabolicFlag,
     """The flag and curvature classes of a datum of one of ``kinds``, else InvalidParameter."""
     if not isinstance(datum, kinds):
         raise InvalidParameter(f"expected a {' or '.join(k.__name__ for k in kinds)}, got {datum!r}")
+    if not isinstance(datum.flag, ParabolicFlag):
+        raise InvalidParameter(f"datum flag must be a ParabolicFlag, got {datum.flag!r}")
     return datum.flag, _items(datum.psi, InvalidParameter, "curvature classes")
 
 
@@ -174,14 +176,17 @@ def build_t_gauduchon(
 def verify_ricci_flat(datum: GauduchonDatum) -> InvariantClass:
     """Residual of the Ricci-form equation: zero class exactly for built data.
 
-    Computes the Ricci class plus (t-1)/2 times the contraction-weighted sum
-    of the curvature classes; a nonzero result is reported verbatim as the
-    diagnosis.  A class of nonzero contraction at a 2*pi power other than the
-    Ricci class's 1 raises DimensionMismatch; one of zero contraction adds nothing.
+    Computes the Ricci class plus (t-1)/2, with t an exact rational, times the
+    contraction-weighted sum of the curvature classes; a nonzero result is the
+    diagnosis.  A base class or class of nonzero contraction at a 2*pi power other
+    than 1 raises DimensionMismatch; a class of zero contraction adds nothing.
     """
     flag, psi = _datum(datum, (GauduchonDatum,))
+    _, t = _exact_k_t(1, datum.t)  # a datum has no twist; its t is checked as the builder's
     reference = _reference_weights(flag, datum.omega0)
-    factor = (datum.t - 1) / 2
+    if datum.omega0.two_pi_power != 1:
+        raise DimensionMismatch("the base class is not at 2*pi power 1")
+    factor = (t - 1) / 2
     residual = flag.anticanonical
     for psi_j in psi:
         # _contraction checks psi_j's length before anything is added

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 parse error, 2 mathematical precondition violated
 (including a failed numeric tolerance check), 3 unsupported feature.  Exact
 fields are rendered as fraction strings and never contain decimal points;
-numeric-lab fields are plain floats.
+numeric-lab fields are plain floats.  JSON output passes pre-rendered
+fragments through verbatim: ``describe`` renders its positive-root table to text.
 """
 
 from __future__ import annotations
@@ -125,18 +126,24 @@ def _inputs_echo(args) -> dict:
     return {k: _echo(getattr(args, k)) for k in keys if hasattr(args, k)}
 
 
+class _Rendered(str):
+    """JSON text that ``_json`` writes out verbatim."""
+
+
 def _cmd_describe(args) -> dict:
     flag = _build_flag(args)
     off = set(flag.phi_complement)
-    table = [
-        {
-            "root": list(beta.root_coords),
-            "coroot": [str(c) for c in beta.coroot_coords],
-            "height": beta.height,
-            "off_parabolic": beta in off,
-        }
-        for beta in flag.datum.positive_roots
-    ]
+    roots = flag.datum.positive_roots
+    if args.format == "text":
+        table = [{"root": list(b.root_coords), "coroot": [str(c) for c in b.coroot_coords],
+                  "height": b.height, "off_parabolic": b in off} for b in roots]
+    else:  # results.positive_roots as JSON text at its indent depth, one template per root
+        ints, strs = ",\n          ", '",\n          "'
+        table = _Rendered("[\n      " + ",\n      ".join(
+            f'{{\n        "coroot": [\n          "{strs.join(map(str, b.coroot_coords))}"\n        ],\n'
+            f'        "height": {b.height},\n        "off_parabolic": {"true" if b in off else "false"},\n'
+            f'        "root": [\n          {ints.join(map(str, b.root_coords))}\n        ]\n      }}'
+            for b in roots) + "\n    ]")
     return {
         "dim_c": flag.dim_c,
         "picard_rank": flag.picard_rank,
@@ -238,9 +245,12 @@ def _text_lines(value, prefix: str = "") -> list[str]:
 
 
 def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, for str-keyed reports."""
+    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, for str-keyed reports.
+
+    A pre-rendered ``_Rendered`` fragment is JSON text already and passes through verbatim.
+    """
     if isinstance(value, str):
-        return _s(value)
+        return value if type(value) is _Rendered else _s(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):

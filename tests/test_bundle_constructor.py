@@ -155,6 +155,29 @@ def test_verify_ricci_flat_power_rule_ignores_the_order_of_psi(t):
             verify_ricci_flat(replace(datum, psi=psi))
 
 
+@pytest.mark.parametrize("power", [0, 2])
+def test_verify_ricci_flat_rejects_a_base_class_off_power_one(power):
+    # each term value_j * psi_j sits at 2*pi power 2 p(psi_j) - p(omega0), so
+    # only a base class at power 1 puts it at the Ricci class's power
+    flag = flag_of("A", 3)
+    datum = build_t_gauduchon(flag, 1, F(-1), degree_zero_bundles(flag, odd=True))
+    assert verify_ricci_flat(datum).is_zero
+    with pytest.raises(DimensionMismatch, match="base class"):
+        verify_ricci_flat(replace(datum, omega0=InvariantClass(power, datum.omega0.coeffs)))
+
+
+def test_verify_ricci_flat_reads_a_float_t_exactly():
+    # as the builder does: t = 0.1 is the exact rational Fraction(0.1), not 1/10
+    flag = flag_of("A", 3)
+    datum = build_t_gauduchon(flag, 1, 0.1, degree_zero_bundles(flag, odd=True))
+    assert datum.t == F(0.1) != F(1, 10)
+    assert verify_ricci_flat(datum).is_zero
+    residual = verify_ricci_flat(replace(datum, t=0.1, scale=F(1), omega0=ricci_class(flag)))
+    assert residual == verify_ricci_flat(replace(datum, t=F(0.1), scale=F(1), omega0=ricci_class(flag)))
+    assert not residual.is_zero
+    assert all(type(c) is F for c in residual.coeffs)
+
+
 def test_verify_ricci_flat_chern_parameter_residual():
     flag = flag_of("A", 2)
     datum = build_t_gauduchon(flag, 1, F(1), degree_zero_bundles(flag, odd=True), diagnostic=True)

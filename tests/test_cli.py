@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,8 @@ import flagcy.cli as cli
 import flagcy.flag_geometry as flag_geometry
 import flagcy.picard_lattice as picard_lattice
 from flagcy.cli import main
+
+from conftest import flag_of
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -360,6 +363,66 @@ def test_large_describe_reports_match_their_digests(capsys, family, rank, parabo
     code, out = run(capsys, "describe", family, rank, "--parabolic", parabolic, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DESCRIBE_DIGESTS[family, rank, parabolic]
+
+
+# SHA-256 of the text `describe` report of four of the flags above: the text
+# report keeps its row dicts and must not follow the JSON table's rendering
+DESCRIBE_TEXT_DIGESTS = {
+    ("A", "24", ""): "69528925ded95fd4a7991a38e5a42fa50a8f638d78f292a78bd2ac5059cb6b92",
+    ("B", "12", "2,5"): "bf23554e6ce9054c33001316ab021da3be346c6936ae719ea991a2aeaa1072e3",
+    ("E", "8", "1,8"): "8de4bf9ad87ad8cc92ecdd9a9b3cc312e458fb0e1a1de04369557e618b24c360",
+    ("G", "2", "1"): "c99d4e2d4824c6b663e741fc855df33662f2fbd41d01fab483607dafa6c3ac51",
+}
+
+
+@pytest.mark.parametrize("family, rank, parabolic", sorted(DESCRIBE_TEXT_DIGESTS))
+def test_describe_text_reports_match_their_digests(capsys, family, rank, parabolic):
+    code, out = run(capsys, "describe", family, rank, "--parabolic", parabolic, "--format", "text")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DESCRIBE_TEXT_DIGESTS[family, rank, parabolic]
+
+
+ORACLE_TYPES = [*(("A", rank) for rank in range(1, 6)), ("B", 2), ("B", 3), ("B", 4),
+                ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2)]
+
+
+def _describe_oracle(family, rank, parabolic):
+    """The JSON `describe` report of one flag, its root table built here as row dicts."""
+    flag = flag_of(family, rank, parabolic)
+    # a root leaves the parabolic when a simple root outside it occurs in the root
+    table = [
+        {"root": list(beta.root_coords), "coroot": [str(c) for c in beta.coroot_coords],
+         "height": sum(beta.root_coords),
+         "off_parabolic": any(beta.root_coords[a - 1] for a in flag.complement)}
+        for beta in flag.datum.positive_roots
+    ]
+    results = {
+        "dim_c": flag.dim_c,
+        "picard_rank": flag.picard_rank,
+        "fano_index": flagcy.fano_index(flag),
+        "anticanonical": {f"alpha_{a}": int(v) for a, v in zip(flag.complement, flag.anticanonical)},
+        "kahler_cone_generators": [f"alpha_{a}" for a in flag.complement],
+        "positive_roots": table,
+    }
+    inputs = {"family": family, "rank": rank, "parabolic": ",".join(map(str, parabolic)), "format": "json"}
+    report = {"command": "describe", "inputs": inputs, "results": results, "status": "ok"}
+    return json.dumps(report, indent=2, sort_keys=True) + "\n", table
+
+
+def test_describe_json_matches_a_dict_table_oracle(capsys):
+    # the JSON root table is rendered from one template per row; on every
+    # parabolic of these types it must read as json.dumps of the row dicts
+    offs = set()
+    for family, rank in ORACLE_TYPES:
+        for size in range(rank):  # a parabolic is a proper subset of the simple roots
+            for parabolic in combinations(range(1, rank + 1), size):
+                expected, table = _describe_oracle(family, rank, parabolic)
+                code, out = run(capsys, "describe", family, str(rank),
+                                "--parabolic", ",".join(map(str, parabolic)), "--format", "json")
+                assert code == 0
+                assert out == expected, (family, rank, parabolic)
+                offs.update(row["off_parabolic"] for row in table)
+    assert offs == {True, False}
 
 
 # (argv, exit code): every command, floats, error reports and a non-ASCII echo

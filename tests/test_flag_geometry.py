@@ -460,12 +460,36 @@ def test_non_iterable_vector_input_is_a_typed_error(call, error):
             InvalidParameter,
             id="verify_ricci_flat-BalancedDatum",
         ),
+        *[
+            pytest.param(
+                lambda f, w, t=t: verify_ricci_flat(replace(_gauduchon(f), t=t)),
+                InvalidParameter,
+                id=f"verify_ricci_flat-t-{t!r}",
+            )
+            for t in (None, "x", float("nan"))
+        ],
+        *[
+            pytest.param(
+                lambda f, w, verify=verify: verify(replace(_gauduchon(f), flag=None)),
+                InvalidParameter,
+                id=f"{verify.__name__}-flag-None",
+            )
+            for verify in (verify_ricci_flat, verify_c1_trivial, verify_coclosed)
+        ],
+        pytest.param(
+            lambda f, w: verify_coclosed(
+                replace(build_balanced(f, w, [LineBundleClass((-1, 1))] * 2), flag=5)
+            ),
+            InvalidParameter,
+            id="verify_coclosed-BalancedDatum-flag-5",
+        ),
     ],
 )
 def test_wrong_object_input_is_a_typed_error(call, error):
     # a non-class, a plain tuple for a bundle, an out-of-range point, an
-    # unhashable family, or a datum that is not one or whose curvature classes
-    # are not a sequence ends in a FlagcyError, never in a raw Python error
+    # unhashable family, or a datum that is not one, whose curvature classes
+    # are not a sequence, whose t is not a rational or whose flag is not a
+    # flag ends in a FlagcyError, never in a raw Python error
     flag = flag_of("A", 2)
     with pytest.raises(error):
         call(flag, anticanonical_class(flag))
