@@ -167,8 +167,6 @@ def build_t_gauduchon(
     ell = flag.anticanonical
     omega0 = InvariantClass(1, tuple(scale * l for l in ell))
     curvatures = _curvature_classes(flag, _reference_weights(flag, omega0), bundles, nontrivial=True)
-    if any(k * l % index for l in ell):
-        raise AssertionError("anticanonical coefficients are not divisible by the index")
     psi = (InvariantClass(1, tuple(k * l // index for l in ell)),) + curvatures
     return GauduchonDatum(flag, t, scale, omega0, psi)
 

@@ -1,10 +1,10 @@
 """Command-line front end: exact text or JSON reports for every operation.
 
 Exit codes: 0 success, 1 parse error, 2 mathematical precondition violated
-(including a failed numeric tolerance check), 3 unsupported feature.  Exact
-fields are rendered as fraction strings and never contain decimal points;
-numeric-lab fields are plain floats.  JSON output passes pre-rendered
-fragments through verbatim: ``describe`` renders its positive-root table to text.
+(including a failed numeric tolerance check), 3 unsupported feature.  Handlers return
+library values and only the emitters render them: an exact ``Fraction`` as its fraction
+string, never with a decimal point, and numeric-lab floats as plain floats.  JSON output
+passes pre-rendered fragments through verbatim: ``describe`` renders its root table to text.
 """
 
 from __future__ import annotations
@@ -99,16 +99,12 @@ def _bundles(args) -> list[LineBundleClass]:
     return [LineBundleClass(_parse_csv(text, int, "bundle exponents")) for text in args.bundle]
 
 
-def _frac(value) -> str:
-    return str(Fraction(value))
-
-
 def _alpha_key(alpha: int) -> str:
     return f"alpha_{alpha}"
 
 
-def _coeff_map(flag: ParabolicFlag, values, render=_frac) -> dict:
-    return {_alpha_key(a): render(v) for a, v in zip(flag.complement, values)}
+def _coeff_map(flag: ParabolicFlag, values) -> dict:
+    return {_alpha_key(a): v for a, v in zip(flag.complement, values)}
 
 
 def _class_json(flag: ParabolicFlag, c: InvariantClass) -> dict:
@@ -132,23 +128,23 @@ class _Rendered(str):
 
 def _cmd_describe(args) -> dict:
     flag = _build_flag(args)
-    off = set(flag.phi_complement)
+    off = set(map(id, flag.phi_complement))  # make_flag picks phi from the datum's own roots
     roots = flag.datum.positive_roots
     if args.format == "text":
-        table = [{"root": list(b.root_coords), "coroot": [str(c) for c in b.coroot_coords],
-                  "height": b.height, "off_parabolic": b in off} for b in roots]
+        table = [{"root": b.root_coords, "coroot": b.coroot_coords,
+                  "height": b.height, "off_parabolic": id(b) in off} for b in roots]
     else:  # results.positive_roots as JSON text at its indent depth, one template per root
         ints, strs = ",\n          ", '",\n          "'
         table = _Rendered("[\n      " + ",\n      ".join(
             f'{{\n        "coroot": [\n          "{strs.join(map(str, b.coroot_coords))}"\n        ],\n'
-            f'        "height": {b.height},\n        "off_parabolic": {"true" if b in off else "false"},\n'
+            f'        "height": {b.height},\n        "off_parabolic": {"true" if id(b) in off else "false"},\n'
             f'        "root": [\n          {ints.join(map(str, b.root_coords))}\n        ]\n      }}'
             for b in roots) + "\n    ]")
     return {
         "dim_c": flag.dim_c,
         "picard_rank": flag.picard_rank,
         "fano_index": fano_index(flag),
-        "anticanonical": _coeff_map(flag, flag.anticanonical, render=int),
+        "anticanonical": _coeff_map(flag, flag.anticanonical),
         "kahler_cone_generators": [_alpha_key(a) for a in flag.complement],
         "positive_roots": table,
     }
@@ -160,14 +156,14 @@ def _cmd_primitive_basis(args) -> dict:
     pb = primitive_basis(flag, omega0, args.gamma)
     # degree of xi against the minimal integral multiple of omega0: tau * (q . xi)
     degrees = [
-        {"value": _frac(pb.tau * sum(a * b for a, b in zip(pb.q, xi.coeffs))), "two_pi_power": 0}
+        {"value": str(pb.tau * sum(a * b for a, b in zip(pb.q, xi.coeffs))), "two_pi_power": 0}
         for xi in pb.basis
     ]
     return {
         "pivot": _alpha_key(pb.pivot_gamma),
         "tau": pb.tau,
-        "q": _coeff_map(flag, pb.q, render=int),
-        "basis": [_coeff_map(flag, xi.coeffs, render=int) for xi in pb.basis],
+        "q": _coeff_map(flag, pb.q),
+        "basis": [_coeff_map(flag, xi.coeffs) for xi in pb.basis],
         "degrees": degrees,
     }
 
@@ -182,13 +178,13 @@ def _cmd_gauduchon(args) -> dict:
     ratio = verify_c1_trivial(datum)
     lee = lee_form_coefficients(flag, datum.psi, datum.omega0)
     return {
-        "ricci_flat_scale": _frac(datum.scale),
+        "ricci_flat_scale": datum.scale,
         "omega0": _class_json(flag, datum.omega0),
         "psi": [_class_json(flag, p) for p in datum.psi],
         "ricci_residual": _class_json(flag, residual),
         "ricci_flat": residual.is_zero,
-        "c1_ratio": _frac(ratio),
-        "lee_form": [_frac(v) for v in lee],
+        "c1_ratio": ratio,
+        "lee_form": lee,
     }
 
 
@@ -201,8 +197,8 @@ def _cmd_balanced(args) -> dict:
     return {
         "omega0": _class_json(flag, datum.omega0),
         "psi": [_class_json(flag, p) for p in datum.psi],
-        "coclosed": [_frac(v) for v in coclosed],
-        "lee_form": [_frac(v) for v in lee],
+        "coclosed": coclosed,
+        "lee_form": lee,
         "balanced": all(v == 0 for v in coclosed),
     }
 
@@ -215,14 +211,7 @@ def _cmd_verify_numeric(args) -> dict:
     report = check_eigenvalue_formula(
         flag, omega_coeffs, psi_coeffs, step=args.step, tol=args.tol
     )
-    return {
-        "exact": [_frac(v) for v in report.exact],
-        "numeric": list(report.numeric),
-        "max_deviation": report.max_deviation,
-        "step": report.step,
-        "tol": report.tol,
-        "passed": report.passed,
-    }
+    return dict(vars(report))  # the report's fields, in field order
 
 
 _HANDLERS = {
@@ -237,7 +226,7 @@ _HANDLERS = {
 def _text_lines(value, prefix: str = "") -> list[str]:
     if isinstance(value, dict):
         children = [(f"{prefix}.{key}" if prefix else str(key), item) for key, item in value.items()]
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         children = [(f"{prefix}[{i}]", item) for i, item in enumerate(value)]
     else:
         return [f"{prefix} = {value}"]
@@ -245,9 +234,10 @@ def _text_lines(value, prefix: str = "") -> list[str]:
 
 
 def _json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, for str-keyed reports.
+    """``json.dumps(value, indent=2, sort_keys=True, default=str)`` byte for byte, for str-keyed reports.
 
-    A pre-rendered ``_Rendered`` fragment is JSON text already and passes through verbatim.
+    So a ``Fraction`` is its quoted fraction string, and plain data is ``json.dumps`` without
+    ``default``.  A ``_Rendered`` fragment is JSON text already and passes through verbatim.
     """
     if isinstance(value, str):
         return value if type(value) is _Rendered else _s(value)
@@ -255,15 +245,14 @@ def _json(value, indent: str = "\n") -> str:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, Fraction):
+        return f'"{value}"'
     if isinstance(value, float):
         return ("NaN" if value != value else "Infinity" if value == inf
                 else "-Infinity" if value == -inf else float.__repr__(value))
     inner = indent + "  "
     if isinstance(value, (list, tuple)):
-        kinds = set(map(type, value))
-        # a leaf list of exact ints or strs is one join; bool is never an exact int
-        parts = (map(int.__repr__, value) if kinds == {int} else map(_s, value) if kinds == {str}
-                 else [_json(item, inner) for item in value])
+        parts = [_json(item, inner) for item in value]
         return f"[{inner}{(',' + inner).join(parts)}{indent}]" if value else "[]"
     if isinstance(value, dict):
         parts = [f"{_s(key)}: {_json(value[key], inner)}" for key in sorted(value)]

@@ -219,7 +219,7 @@ def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
     Returns ``(p, d)`` with ``<c, beta_coroot> = p[b] / d`` for the b-th root
     of ``phi_complement``: the coefficients are scaled by the least common
     denominator ``d`` once, so the table is paired in integers only.  Zero
-    coefficients are skipped, which makes bundle classes cheap to pair.
+    coefficients are skipped.
     """
     _check_class(flag, c)
     x, d = _cleared(c)

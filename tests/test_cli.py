@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -382,6 +383,85 @@ def test_describe_text_reports_match_their_digests(capsys, family, rank, parabol
     assert hashlib.sha256(out.encode()).hexdigest() == DESCRIBE_TEXT_DIGESTS[family, rank, parabolic]
 
 
+# flags beyond A2: a rational Kahler class, and the basis of the flag's own
+# primitive-basis report, whose members are the degree-zero bundles below
+BEYOND_A2 = {
+    ("B", "3", ""): ("1/2,2/3,3/4", ("-234,149,0", "-157,0,149")),
+    ("C", "3", "2"): ("2/3,5/2", ("-29,19",)),
+    ("D", "4", "2"): ("1/2,1,3/2", ("-1,1,0", "-1,0,1")),
+    ("F", "4", "1,4"): ("3/4,1/5", ("-1993,2627",)),
+    ("G", "2", ""): ("1,7/3", ("-211,149",)),
+}
+
+
+def _beyond_a2_argv(family, rank, parabolic, case):
+    omega0, basis = BEYOND_A2[family, rank, parabolic]
+    # 2r bundles at Picard rank r = len(basis) + 1, the basis repeated
+    bundles = [f"--bundle={basis[i % len(basis)]}" for i in range(2 * len(basis) + 2)]
+    flag = [family, rank, "--parabolic", parabolic]
+    return {
+        "primitive-basis": ["primitive-basis", *flag],
+        "primitive-basis omega0": ["primitive-basis", *flag, f"--omega0={omega0}"],
+        "gauduchon": ["gauduchon", *flag, "--k", "2", "--t", "1/3", *bundles[1:]],
+        "gauduchon diagnostic": ["gauduchon", *flag, "--k", "2", "--t", "2", "--diagnostic", *bundles[1:]],
+        "balanced": ["balanced", *flag, *bundles],
+    }[case]
+
+
+# SHA-256 of the JSON stdout followed by the text stdout of each request
+BEYOND_A2_DIGESTS = {
+    ("B", "3", "", "primitive-basis"): "4e1a9e168dd9954daf5a500fef0c1dbb54d84f3605c23ff6ba7d966487aee2f9",
+    ("B", "3", "", "primitive-basis omega0"): "c41f12892a209b42e4814454f628856031fb439b84c619684631a6b79a6b60b1",
+    ("B", "3", "", "gauduchon"): "e0ae1d281d849e2f816984b9b6f4bca2342912c25d74c7930fdad59dd26ffda1",
+    ("B", "3", "", "gauduchon diagnostic"): "d9d3b38f83de1eac1862d5d6f12f71c92b9a3038e913019513fa3bae2b262360",
+    ("B", "3", "", "balanced"): "b20a4dcbf603154343b2e34452b73db1b9ff48338bfcf4eeb96bae23309370c5",
+    ("C", "3", "2", "primitive-basis"): "baface0704384adedb75741a61c0eef4ced36a5b64c8ca3eedff18bb27c1eb30",
+    ("C", "3", "2", "primitive-basis omega0"): "d8828caa05263a5ad9d5d705e3829461128cd493bb41ce4bb905d9f56a39c5a2",
+    ("C", "3", "2", "gauduchon"): "082f342ecb57f4ce5f6eb0d24ae768b5df61398cb9190a0bfcfee0290f3105f2",
+    ("C", "3", "2", "gauduchon diagnostic"): "7d379421092fabc39e2ebc0436cdf109528621cdddc77a2a9a6680bf85cb66a6",
+    ("C", "3", "2", "balanced"): "b857c077759c793a0cd8b36f6f9912ed5eeb8ddb7a639517752aff9902a17e0e",
+    ("D", "4", "2", "primitive-basis"): "201d49bb179bd80115ec9a3851ed7e1ffd5169ec173bb586ac949c23af97d647",
+    ("D", "4", "2", "primitive-basis omega0"): "d846de02338db3813a7230cac8927994ad8df3696b2e8c8c158742e66fe5494f",
+    ("D", "4", "2", "gauduchon"): "ffb66c20dc60416a9a00373dc51da5f2e0627b2d485763ec91e3cdff7f3bbbfb",
+    ("D", "4", "2", "gauduchon diagnostic"): "66700fd7f92483dde78d59b747a09e6a10d2e23014cf0d3385ad82f0b7727ad2",
+    ("D", "4", "2", "balanced"): "5e8c0522733cb6dee20e1eae71a148e4f74c0a947d7dc4b8e18621d1ac610a17",
+    ("F", "4", "1,4", "primitive-basis"): "df433767ed4a7806612e31f7e33d780bf38c14703c609a4f28a1b7f8ecb37c7b",
+    ("F", "4", "1,4", "primitive-basis omega0"): "42222b6104428f2becbe470c0b96e0d8456df8e56d95c171059736bb0e4c6b74",
+    ("F", "4", "1,4", "gauduchon"): "c66f492e98cb46c7a40fe343c8615963385b467545a987e2c7e48f4c518e79b9",
+    ("F", "4", "1,4", "gauduchon diagnostic"): "e3b590252927bfb08354b40261999577b99d604261349579df9b2177b8ede75a",
+    ("F", "4", "1,4", "balanced"): "a48a33eae8b7192e30a8e86d05b0356a74f3dca8625f8b46dccbaf03ba640ba5",
+    ("G", "2", "", "primitive-basis"): "d9c38c9fffa3f7a496807d4b93077e93c6e4efbf9f15faee8bf4a59d670e8b6e",
+    ("G", "2", "", "primitive-basis omega0"): "2327545ce445accdcf0e468e710a0d499f550f3d41dfd80f313e39d9a01af8c7",
+    ("G", "2", "", "gauduchon"): "314c730515b98f5507bd3ab8d5f8fefe378baeb89c59e9b10f707e4fd170ff39",
+    ("G", "2", "", "gauduchon diagnostic"): "c3aa152f0e58e529152f7ab79844c796ab06dcb366d459b204022bf06c862ead",
+    ("G", "2", "", "balanced"): "b5ee01b6d1732dd923a4e037e21cb0be02cbaaf80db0bf08d0b89338a4e0ba3e",
+}
+
+
+@pytest.mark.parametrize("family, rank, parabolic, case", sorted(BEYOND_A2_DIGESTS))
+def test_reports_beyond_a2_match_their_digests(capsys, family, rank, parabolic, case):
+    argv = _beyond_a2_argv(family, rank, parabolic, case)
+    (code, out), (text_code, text) = run(capsys, *argv, "--format", "json"), run(capsys, *argv)
+    assert code == text_code == 0
+    assert hashlib.sha256((out + text).encode()).hexdigest() == BEYOND_A2_DIGESTS[family, rank, parabolic, case]
+
+
+def test_verify_numeric_report_keeps_its_key_order_and_exact_strings(capsys):
+    # the floats depend on the LAPACK build, so only the keys and the exact strings are pinned
+    argv = ["verify-numeric", "A", "4", "--parabolic", "2,3", "--omega0=1,2/3", "--psi=-1,3/2"]
+    exact = ["-1", "-1", "-1", "3/10", "9/4", "9/4", "9/4"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    results = [line.partition(" = ") for line in out.splitlines() if line.startswith("results.")]
+    assert [key for key, _, _ in results] == [
+        *(f"results.exact[{i}]" for i in range(7)), *(f"results.numeric[{i}]" for i in range(7)),
+        "results.max_deviation", "results.step", "results.tol", "results.passed"]
+    assert [value for _, _, value in results[:7]] == exact
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert report["results"]["exact"] == exact
+
+
 ORACLE_TYPES = [*(("A", rank) for rank in range(1, 6)), ("B", 2), ("B", 3), ("B", 4),
                 ("C", 3), ("D", 4), ("E", 6), ("F", 4), ("G", 2)]
 
@@ -483,7 +563,7 @@ def test_ascii_whitespace_around_numerals_still_parses(capsys):
     assert report["results"] == plain_report["results"]
 
 
-REPORT_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+REPORT_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(), st.fractions())
 REPORT_VALUES = st.recursive(
     REPORT_LEAVES,
     lambda children: st.one_of(
@@ -510,8 +590,11 @@ REPORT_VALUES = st.recursive(
 @example(value={"a": []})
 @example(value=(1, "x", (2.5, None), ()))
 @example(value={"b": 1, "a": {"d": [], "c": False}, "B": ["y", "x"], "": None})
+@example(value=Fraction(-3, 4))
+@example(value=Fraction(2))
 def test_emitter_matches_json_dumps(value):
-    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+    # default=str is only ever called on a Fraction: the emitter's fraction string
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True, default=str)
 
 
 def _subprocess_env():
