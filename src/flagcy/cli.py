@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 parse error, 2 mathematical precondition violated
 (including a failed numeric tolerance check), 3 unsupported feature.  Handlers return
 library values and only the emitters render them: an exact ``Fraction`` as its fraction
 string, never with a decimal point, and numeric-lab floats as plain floats.  JSON output
-passes pre-rendered fragments through verbatim: ``describe`` renders its root table to text.
+passes pre-rendered fragments through verbatim: ``describe`` renders its root table to text,
+one template per root, each coordinate vector turned into one string of digits in C
+(every root and coroot coordinate is 0..6) whose characters are joined.  An input that the
+report echoes may hold no control or line-break character (exit 1).
 """
 
 from __future__ import annotations
@@ -55,6 +58,20 @@ def _numeral(text: str, what: str) -> str:
     """
     if not text.isascii() or "_" in text:
         raise _CliParseError(f"cannot parse {what} {text!r}: numerals must be ASCII, without '_'")
+    return _printable(text, what)
+
+
+def _printable(text: str, what: str) -> str:
+    """``text`` itself, once it holds no control, format or line-break character.
+
+    The text report prints an echoed input raw, so such a character would split or hide it.
+    Spaces of any kind are printable here, and an ASCII numeral may hold only spaces.
+    """
+    if not text.isprintable():
+        from unicodedata import category  # loads only for a non-printable input
+        if any(not c.isprintable() and category(c) != "Zs" for c in text):
+            raise _CliParseError(
+                f"cannot parse {what} {text!r}: control and line-break characters are not allowed")
     return text
 
 
@@ -119,11 +136,29 @@ def _echo(value):
 def _inputs_echo(args) -> dict:
     keys = ("family", "rank", "parabolic", "omega0", "gamma", "k", "t",
             "bundle", "psi", "step", "tol", "diagnostic", "format")
-    return {k: _echo(getattr(args, k)) for k in keys if hasattr(args, k)}
+    echo = {k: _echo(getattr(args, k)) for k in keys if hasattr(args, k)}
+    for key, value in echo.items():
+        for text in value if isinstance(value, list) else [value]:
+            if isinstance(text, str):
+                _printable(text, f"--{key}")
+    return echo
 
 
 class _Rendered(str):
     """JSON text that ``_json`` writes out verbatim."""
+
+
+# byte i < 10 becomes its decimal digit; any larger byte becomes 0xff, which no ASCII decode admits
+_DIGITS = b"0123456789" + b"\xff" * 246
+
+
+def _digits(coords: tuple[int, ...]) -> str:
+    """The coordinates 0..9 as one string of digits, made in C: ``(6, 0, 2)`` is ``"602"``.
+
+    Joining its characters renders the coordinates without a ``str`` per coordinate, since
+    CPython shares one-character strings; a coordinate outside 0..9 raises instead.
+    """
+    return bytes(coords).translate(_DIGITS).decode("ascii")
 
 
 def _cmd_describe(args) -> dict:
@@ -136,9 +171,9 @@ def _cmd_describe(args) -> dict:
     else:  # results.positive_roots as JSON text at its indent depth, one template per root
         ints, strs = ",\n          ", '",\n          "'
         table = _Rendered("[\n      " + ",\n      ".join(
-            f'{{\n        "coroot": [\n          "{strs.join(map(str, b.coroot_coords))}"\n        ],\n'
+            f'{{\n        "coroot": [\n          "{strs.join(_digits(b.coroot_coords))}"\n        ],\n'
             f'        "height": {b.height},\n        "off_parabolic": {"true" if id(b) in off else "false"},\n'
-            f'        "root": [\n          {ints.join(map(str, b.root_coords))}\n        ]\n      }}'
+            f'        "root": [\n          {ints.join(_digits(b.root_coords))}\n        ]\n      }}'
             for b in roots) + "\n    ]")
     return {
         "dim_c": flag.dim_c,

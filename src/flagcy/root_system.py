@@ -32,11 +32,14 @@ from .errors import InvalidRank, _integer
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
+#: families A-D stop at rank 64, so a request cannot ask for more than 64^2 roots
+_MAX_CLASSICAL_RANK = 64
+
 _RANK_RANGE = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
+    "A": (1, _MAX_CLASSICAL_RANK),
+    "B": (2, _MAX_CLASSICAL_RANK),
+    "C": (2, _MAX_CLASSICAL_RANK),
+    "D": (3, _MAX_CLASSICAL_RANK),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -55,9 +58,8 @@ class LieType:
             raise InvalidRank(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         object.__setattr__(self, "rank", _integer(self.rank, InvalidRank, "rank"))
         lo, hi = _RANK_RANGE[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-            raise InvalidRank(f"family {self.family} needs rank {bound}, got {self.rank}")
+        if not lo <= self.rank <= hi:
+            raise InvalidRank(f"family {self.family} needs rank in [{lo}, {hi}], got {self.rank}")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

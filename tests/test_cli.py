@@ -298,6 +298,13 @@ def test_invalid_rank_is_a_math_error(capsys):
     assert report["error"]["type"] == "InvalidRank"
 
 
+def test_huge_rank_is_refused_before_anything_is_built(capsys):
+    code, report = run_json(capsys, "describe", "A", "100000000000000000000")
+    assert code == 2
+    assert report["error"] == {
+        "type": "InvalidRank", "message": "family A needs rank in [1, 64], got 100000000000000000000"}
+
+
 def test_exact_fields_have_no_decimal_points(capsys):
     _, report = run_json(capsys, "gauduchon", "A", "2", "--k", "1", "--t", "1/2", "--bundle=-1,1")
     results = report["results"]
@@ -356,6 +363,8 @@ DESCRIBE_DIGESTS = {
     ("E", "8", "1,8"): "55a4d061ffad40426764baf395c35d24647e8500aa429d28843ba3e8293ebf43",
     ("F", "4", "2"): "df3d96b443c9b13ad2daac2f4c712d1f8804e5884c0c8ffa2b705d558f0f3c8d",
     ("G", "2", "1"): "e313de48ab2bf658ea90ea13abcb9c85bc0c8d9b9b7a9bb1bf5f3e6ca953d731",
+    # the largest report of the benchmark ladder: 820 roots of 40 coordinates each
+    ("A", "40", ""): "deac47c4bd136333c760632e51e00305271b2b32f504ef422118feae4776c93a",
 }
 
 
@@ -489,6 +498,16 @@ def _describe_oracle(family, rank, parabolic):
     return json.dumps(report, indent=2, sort_keys=True) + "\n", table
 
 
+def test_digits_renders_each_coordinate_as_one_digit():
+    assert cli._digits((6, 0, 2)) == "602"
+    assert cli._digits(tuple(range(10))) == "0123456789"
+    assert cli._digits(()) == ""
+    # a coordinate that is not one digit raises rather than render as another character
+    for coords in ((10,), (0, 255), (-1,), (256,)):
+        with pytest.raises(ValueError):
+            cli._digits(coords)
+
+
 def test_describe_json_matches_a_dict_table_oracle(capsys):
     # the JSON root table is rendered from one template per row; on every
     # parabolic of these types it must read as json.dumps of the row dicts
@@ -550,6 +569,33 @@ def test_loose_numerals_are_parse_errors(capsys, argv):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("flagcy: cannot parse ")
     assert err.endswith(": numerals must be ASCII, without '_'\n")
+
+
+#: inputs holding a character that would split or hide a line of the text report
+UNPRINTABLE_INPUTS = [
+    (["describe", "A", "3\t"], "rank '3\\t'"),
+    (["describe", "A", "2", "--parabolic= 1 \n"], "--parabolic ' 1 \\n'"),
+    (["describe", "A", "3", "--parabolic=2\x1b"], "--parabolic '2\\x1b'"),
+    (["primitive-basis", "A", "2", "--omega0=1,\n2"], "--omega0 '1,\\n2'"),
+    (["primitive-basis", "A", "2", "--omega0=anticanonical\r"], "--omega0 'anticanonical\\r'"),
+    (["primitive-basis", "A", "3", "--gamma=2\n"], "pivot index '2\\n'"),
+    (["gauduchon", "A", "2", "--k=1\v", "--t=1/2", "--bundle=-1,1"], "twist '1\\x0b'"),
+    (["gauduchon", "A", "2", "--k=1", "--t=1/2\n", "--bundle=-1,1"], "--t '1/2\\n'"),
+    (["balanced", "A", "2", "--bundle=-1,1", "--bundle=-1,\u20281"], "--bundle '-1,\\u20281'"),
+    (["verify-numeric", "A", "2", "--psi=1,\x00-1"], "--psi '1,\\x00-1'"),
+    (["verify-numeric", "A", "2", "--psi=1,-1", "--omega0=1,\u200b1"], "--omega0 '1,\\u200b1'"),
+    (["verify-numeric", "A", "2", "--psi=1,-1", "--step=1e-4\f"], "step '1e-4\\x0c'"),
+    (["verify-numeric", "A", "2", "--psi=1,-1", "--tol=\t1e-4"], "tolerance '\\t1e-4'"),
+]
+
+
+@pytest.mark.parametrize("argv, shown", UNPRINTABLE_INPUTS,
+                         ids=[ascii(" ".join(argv))[1:-1] for argv, _ in UNPRINTABLE_INPUTS])
+def test_control_and_line_break_characters_are_parse_errors(capsys, argv, shown):
+    for fmt in ("text", "json"):
+        assert main([*argv, "--format", fmt]) == 1
+        assert capsys.readouterr() == (
+            "", f"flagcy: cannot parse {shown}: control and line-break characters are not allowed\n")
 
 
 def test_ascii_whitespace_around_numerals_still_parses(capsys):

@@ -183,8 +183,32 @@ def test_ordering_is_graded_then_by_leading_support():
 @pytest.mark.parametrize(
     "family,rank",
     [("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 4), ("H", 2),
-     ("A", 2.5)],
+     ("A", 2.5), ("A", 65), ("B", 65), ("C", 65), ("D", 65), ("A", 10**20)],
 )
 def test_invalid_ranks_rejected(family, rank):
     with pytest.raises(InvalidRank):
         LieType(family, rank)
+
+
+# A-D up to rank 12, E6-E8, F4 and G2, and A-D at the rank bound, which LieType admits
+COORDINATE_TYPES = (
+    [("A", n) for n in range(1, 13)]
+    + [("B", n) for n in range(2, 13)]
+    + [("C", n) for n in range(2, 13)]
+    + [("D", n) for n in range(3, 13)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    + [(family, 64) for family in "ABCD"]
+)
+
+
+def test_every_root_and_coroot_coordinate_is_a_digit_at_most_six():
+    # the describe table renders each coordinate as one decimal digit
+    largest = {}
+    for family, rank in COORDINATE_TYPES:
+        # uncached: the rank-64 data would otherwise stay alive for the whole session
+        datum = build_root_datum.__wrapped__(LieType(family, rank))
+        coords = [c for b in datum.positive_roots for c in b.root_coords + b.coroot_coords]
+        assert min(coords) >= 0
+        largest[family, rank] = max(coords)
+    assert max(largest.values()) == largest["E", 8] == 6
+
