@@ -28,17 +28,17 @@ class PicardRankOne(FlagcyError):
 class NotPrimitive(FlagcyError):
     """A line bundle has nonzero degree where a primitive one is required."""
 
-    def __init__(self, index: int, message: str = ""):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"bundle {index} is not primitive (nonzero degree)")
+        super().__init__(f"bundle {index} is not primitive (nonzero degree)")
 
 
 class TrivialBundle(FlagcyError):
     """A nontrivial line bundle was required."""
 
-    def __init__(self, index: int, message: str = ""):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"bundle {index} is trivial")
+        super().__init__(f"bundle {index} is trivial")
 
 
 class InvalidParameter(FlagcyError):
@@ -54,7 +54,7 @@ class NotProportional(FlagcyError):
 
 
 class UnsupportedType(FlagcyError):
-    """The requested operation is implemented for type A only."""
+    """The numeric lab handles type A only, and Hessian stencils only up to its size cap."""
 
 
 class IllConditioned(FlagcyError):

@@ -213,20 +213,6 @@ def _cleared(c: InvariantClass) -> tuple[list[int], int]:
     return (x if d == 1 else [v * (d // e) for v, e in zip(x, dens)]), d
 
 
-def _pairings(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
-    """Integer pairings of a class with the table, and the denominator cleared.
-
-    Returns ``(p, d)`` with ``<c, beta_coroot> = p[b] / d`` for the b-th root
-    of ``phi_complement``: the coefficients are scaled by the least common
-    denominator ``d`` once, so the table is paired in integers only.  Zero
-    coefficients are skipped.
-    """
-    _check_class(flag, c)
-    x, d = _cleared(c)
-    ints = [(i, v) for i, v in enumerate(x) if v]
-    return [sum(row[i] * v for i, v in ints) for row in flag.pairing_table], d
-
-
 # a Kahler reference: see _reference_weights
 class _Reference(NamedTuple):
     vol: Fraction
@@ -303,13 +289,16 @@ def endomorphism_eigenvalues(
 ) -> tuple[Fraction, ...]:
     """Pairing ratios indexed by the positive roots off the parabolic set.
 
-    The entries sum to the Lefschetz contraction; their common 2*pi power is
-    ``psi.two_pi_power - omega0.two_pi_power``.
+    ``omega0`` must be Kahler; ``psi`` is cleared to ``x / d`` once and each table
+    row is paired with ``x`` in integers, as a ray is.  The entries sum to the Lefschetz
+    contraction; their common 2*pi power is ``psi.two_pi_power - omega0.two_pi_power``.
     """
     _, weights, scale, _ = _reference_weights(flag, omega0)
-    p_psi, d_psi = _pairings(flag, psi)
-    num, den = scale.numerator, scale.denominator * d_psi
-    return tuple(Fraction(num * x * w, den) for x, w in zip(p_psi, weights))
+    _check_class(flag, psi)
+    x, d = _cleared(psi)
+    num, den = scale.numerator, scale.denominator * d
+    pairs = zip(flag.pairing_table, weights)
+    return tuple(Fraction(num * sum(map(mul, row, x)) * w, den) for row, w in pairs)
 
 
 def volume(flag: ParabolicFlag, omega: InvariantClass) -> tuple[Fraction, int]:

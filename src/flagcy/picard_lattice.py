@@ -101,16 +101,13 @@ def primitive_basis(
     if tau.denominator != 1:
         raise AssertionError(f"degree gcd of the Picard generators is {tau}, not an integer")
 
-    idx = {a: i for i, a in enumerate(flag.complement)}
-    q_gamma = q[idx[gamma]]
+    g = flag.complement.index(gamma)
     basis = []
-    for a in flag.complement:
-        if a == gamma:
-            continue
-        coeffs = [0] * flag.picard_rank
-        coeffs[idx[gamma]] = -q[idx[a]]
-        coeffs[idx[a]] = q_gamma
-        basis.append(LineBundleClass(tuple(coeffs)))
+    for i in range(flag.picard_rank):
+        if i != g:
+            coeffs = [0] * flag.picard_rank
+            coeffs[g], coeffs[i] = -q[i], q[g]
+            basis.append(LineBundleClass(tuple(coeffs)))
     return PrimitiveBasis(gamma, q, tau.numerator, tuple(basis))
 
 

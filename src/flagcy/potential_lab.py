@@ -21,14 +21,14 @@ Hermitian by construction.  So a check evaluates one stencil for both of its
 classes.
 
 Other families raise UnsupportedType: their fundamental representations have
-no minor realization here, and the exact engine already covers them.
+no minor realization here, and the exact engine already covers them.  So does
+a Hessian stencil of more than ``_STENCIL_CAP`` chart entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import inf, isfinite, nan, pi
 from typing import Sequence
 
@@ -39,7 +39,6 @@ from .errors import (
     DimensionMismatch,
     IllConditioned,
     InvalidParameter,
-    NotKahler,
     UnsupportedType,
 )
 from .flag_geometry import (
@@ -50,6 +49,8 @@ from .flag_geometry import (
 )
 
 _COND_LIMIT = 1e12
+# most chart entries (4n + 8n(n-1)) * (rank+1)^2 of a Hessian stencil; A12 full has 8,172,840
+_STENCIL_CAP = 2**23
 
 
 def _require_type_a(flag: ParabolicFlag) -> None:
@@ -181,15 +182,22 @@ def _hessians_at_origin(flag: ParabolicFlag, classes: Sequence, h: float) -> np.
     entry below the diagonal is the conjugate of the one above, so every
     Hessian is Hermitian by construction.  ``h`` is a validated step; a
     Hessian with a non-finite entry is IllConditioned, with no warning on
-    the way.
+    the way.  A stencil of more than ``_STENCIL_CAP`` chart entries is
+    UnsupportedType, raised before the stencil is built.
     """
     rows = [_float_coeffs(c) for c in classes]
     m, n = len(rows), flag.dim_c
+    entries = (4 * n + 8 * n * (n - 1)) * (flag.rank + 1) ** 2
+    if entries > _STENCIL_CAP:
+        raise UnsupportedType(
+            f"the Hessian stencil of {flag.datum.lie_type} at dim_c {n} needs {entries} "
+            f"chart entries, more than the lab's cap of {_STENCIL_CAP}"
+        )
     steps = h * np.array([1, -1, 1j, -1j])
     # coordinate j displaced by each step; coordinates j < k by each pair of steps
     diag = np.zeros((n, 4, n), dtype=complex)
     diag[range(n), :, range(n)] = steps
-    j, k = np.array(list(combinations(range(n), 2)), dtype=int).reshape(-1, 2).T
+    j, k = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # pairs j < k, row by row
     points = np.concatenate([diag, (diag[j, :, None] + diag[k, None, :]).reshape(-1, 4, n)])
     phi = _potentials(flag, rows, points.reshape(-1, n))
     phi_diag, phi_cross = phi[:, : 4 * n].reshape(m, n, 4), phi[:, 4 * n :].reshape(m, -1, 4, 4)
@@ -250,16 +258,16 @@ def check_eigenvalue_formula(
     Builds both Hessians at the origin on one stencil, solves the generalized
     eigenproblem of the psi Hessian against the metric Hessian, and reports
     the maximal absolute deviation from the exact pairing-ratio spectrum.
-    The step and the tolerance must be finite and positive; a Hessian or a
-    spectrum that leaves the float range is IllConditioned.
+    The step and the tolerance must be finite and positive, and the metric class
+    Kahler: the exact spectrum comes first and raises NotKahler before any numerics.
+    A stencil above the lab's cap is UnsupportedType; a Hessian or a spectrum
+    that leaves the float range is IllConditioned.
     """
     _require_type_a(flag)
     step = _finite_positive("step", step)
     tol = _finite_positive("tol", tol)
     omega = class_from_coeffs(flag, omega_coefficients)
     psi = class_from_coeffs(flag, psi_coefficients)
-    if any(c <= 0 for c in omega.coeffs):
-        raise NotKahler("metric coefficients must be strictly positive")
     exact = tuple(sorted(endomorphism_eigenvalues(flag, omega, psi)))
 
     H_omega, H_psi = _hessians_at_origin(flag, [omega, psi], step)

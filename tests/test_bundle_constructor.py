@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import flagcy.bundle_constructor as bundle_constructor
 import flagcy.flag_geometry as flag_geometry
 from flagcy import (
     BalancedDatum,
@@ -407,19 +408,14 @@ def test_each_reference_ray_is_paired_once(monkeypatch):
     # chain pairs it with the table once (one _ray miss) however many bundles
     # there are; the curvature classes contract through its column sums and
     # never reach the table
-    rays, paired = [], []
-    ray_cache, pairings = flag_geometry._ray, flag_geometry._pairings
+    rays = []
+    ray_cache = flag_geometry._ray
 
     def counted_ray(table, ray):
         rays.append(ray)
         return ray_cache(table, ray)
 
-    def counted_pairings(flag, c):
-        paired.append(c)
-        return pairings(flag, c)
-
     monkeypatch.setattr(flag_geometry, "_ray", counted_ray)
-    monkeypatch.setattr(flag_geometry, "_pairings", counted_pairings)
     flag = flag_of("A", 4)
     # a non-primitive reference: the ray is omega / 2
     omega = class_from_coeffs(flag, [2, 4, 6, 8])
@@ -445,7 +441,9 @@ def test_each_reference_ray_is_paired_once(monkeypatch):
         chain()
         assert rays == [ray] * 3
         assert ray_cache.cache_info().misses == 1
-    assert paired == []
+    # nor does the module import the one routine that pairs a class with the
+    # table row by row
+    assert not hasattr(bundle_constructor, "endomorphism_eigenvalues")
 
 
 # The verifiers recomputed the earlier way, in Fractions: each contraction

@@ -202,6 +202,21 @@ def test_verify_numeric_type_b_exits_3(capsys):
     assert report["error"]["type"] == "UnsupportedType"
 
 
+def test_verify_numeric_failed_tolerance_exits_2_with_an_ok_report(capsys, monkeypatch):
+    # the lab's ratios are exact up to rounding (a max_deviation of 0.0 on A2), so
+    # the psi Hessian is scaled by 1.001 to put the deviation above the tolerance
+    import flagcy.potential_lab as potential_lab
+
+    hessians = potential_lab._hessians_at_origin
+    skew = [[[1.0]], [[1.001]]]
+    monkeypatch.setattr(potential_lab, "_hessians_at_origin", lambda *args: hessians(*args) * skew)
+    code, report = run_json(capsys, "verify-numeric", "A", "2", "--psi=1,0")
+    assert code == 2
+    assert report["status"] == "ok"
+    assert report["results"]["passed"] is False
+    assert report["results"]["max_deviation"] >= report["results"]["tol"]
+
+
 def no_bare_constants(token):
     raise AssertionError(f"report is not strict JSON: bare {token}")
 
@@ -536,6 +551,7 @@ ROUND_TRIP_REQUESTS = [
     (["verify-numeric", "A", "3", "--psi=-1,1,0"], 0),
     (["describe", "E", "9"], 2),
     (["balanced", "A", "2", "--bundle=-1,1"], 2),
+    (["primitive-basis", "A", "3", "--parabolic", "2", "--gamma=2"], 2),  # pivot inside the parabolic set
     (["verify-numeric", "B", "3", "--psi=1,0,-1"], 3),
 ]
 
@@ -659,6 +675,30 @@ def test_closed_pipe_keeps_the_exit_code_without_a_traceback(rank, fmt, read):
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 0
+
+
+CAPPED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from flagcy.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("rank", [13, 24])
+def test_verify_numeric_refuses_a_stencil_above_the_cap(rank):
+    # A13 full is the smallest full flag above the cap, A24 full would need more
+    # than 10 GB; the child's 3 GiB address-space limit turns a missing refusal
+    # into a failure instead of exhausting the machine
+    psi = ",".join(["1"] + ["0"] * (rank - 2) + ["-1"])
+    argv = ["verify-numeric", "A", str(rank), f"--psi={psi}", "--format", "json"]
+    done = subprocess.run([sys.executable, "-c", CAPPED_CHILD, *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == ""
+    error = json.loads(done.stdout)["error"]
+    assert error["type"] == "UnsupportedType"
+    assert "cap" in error["message"]
 
 
 def _outcomes(requests):

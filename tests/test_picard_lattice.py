@@ -109,6 +109,20 @@ def test_primitive_basis_respects_pivot_choice():
         primitive_basis(flag, anticanonical_class(flag), gamma=1.5)
 
 
+def test_pivot_inside_the_parabolic_set_is_out_of_range():
+    # alpha_2 is a simple root of A3 but not a Picard direction of the flag {2}
+    flag = flag_of("A", 3, [2])
+    with pytest.raises(IndexOutOfRange, match="not a Picard direction"):
+        primitive_basis(flag, anticanonical_class(flag), gamma=2)
+
+
+@pytest.mark.parametrize("target", [(1, -1), (1, -1, 0, 0), LineBundleClass((0,))])
+def test_integer_combination_rejects_a_target_of_the_wrong_length(target):
+    flag = flag_of("A", 3)
+    with pytest.raises(DimensionMismatch):
+        integer_combination(primitive_basis(flag, anticanonical_class(flag)), target)
+
+
 def test_is_primitive():
     # a class is primitive when its contraction against the Kahler class vanishes
     flag = flag_of("A", 2)

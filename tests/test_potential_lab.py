@@ -534,3 +534,22 @@ def test_check_order_type_step_tol_dimension_kahler():
         check_eigenvalue_formula(a2, [0], [F(10**400)])
     with pytest.raises(NotKahler):
         check_eigenvalue_formula(a2, [0, F(10**400)], [F(10**400), 1])
+
+
+def test_stencil_cap_bounds_the_chart_entries(monkeypatch):
+    # the A2 full stencil stacks 4n + 8n(n-1) = 60 points of one 3 x 3 chart each
+    flag = flag_of("A", 2)
+    monkeypatch.setattr(potential_lab, "_STENCIL_CAP", 540)
+    numeric_form_at_origin(flag, [1, 1])
+    monkeypatch.setattr(potential_lab, "_STENCIL_CAP", 539)
+    with pytest.raises(UnsupportedType, match="540 chart entries"):
+        numeric_form_at_origin(flag, [1, 1])
+    with pytest.raises(UnsupportedType, match="cap of 539"):
+        check_eigenvalue_formula(flag, [1, 1], [1, 0])
+
+
+def test_stencil_cap_admits_every_flag_up_to_a12():
+    # every type-A flag of rank at most 12 fits; the full flag of rank 13 does not
+    for rank, fits in ((5, True), (12, True), (13, False)):
+        n = flag_of("A", rank).dim_c
+        assert ((4 * n + 8 * n * (n - 1)) * (rank + 1) ** 2 <= potential_lab._STENCIL_CAP) is fits
