@@ -208,8 +208,7 @@ def verify_c1_trivial(datum: GauduchonDatum) -> Fraction:
     flag, psi = _datum(datum)
     if not psi:
         raise NotProportional("no first curvature class")
-    _check_class(flag, psi[0])
-    x, d = _cleared(psi[0])
+    x, d = _cleared(flag, psi[0])
     ell = flag.anticanonical
     if not x[0] or any(l * x[0] != ell[0] * v for l, v in zip(ell, x)):
         raise NotProportional("Ricci class is not proportional to the first curvature")

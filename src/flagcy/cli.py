@@ -1,13 +1,14 @@
 """Command-line front end: exact text or JSON reports for every operation.
 
-Exit codes: 0 success, 1 parse error, 2 mathematical precondition violated
-(including a failed numeric tolerance check), 3 unsupported feature.  Handlers return
-library values and only the emitters render them: an exact ``Fraction`` as its fraction
-string, never with a decimal point, and numeric-lab floats as plain floats.  JSON output
-passes pre-rendered fragments through verbatim: ``describe`` renders its root table to text,
-one template per root, each coordinate vector turned into one string of digits in C
-(every root and coroot coordinate is 0..6) whose characters are joined.  An input that the
-report echoes may hold no control or line-break character (exit 1).
+Exit codes: 0 success, 1 parse error (a decimal exponent above 4300 in size among them),
+2 mathematical precondition violated (including a failed numeric tolerance check), 3
+unsupported feature (including an exact result beyond the interpreter's digit limit).
+Handlers return library values and only the emitters render them: an exact ``Fraction`` as
+its fraction string, never with a decimal point, and numeric-lab floats as plain floats.
+JSON output passes pre-rendered fragments through verbatim: ``describe`` renders its root
+table to text, one template per root, each coordinate vector turned into one string of
+digits in C (every root and coroot coordinate is 0..6) whose characters are joined.  An
+input that the report echoes may hold no control or line-break character (exit 1).
 """
 
 from __future__ import annotations
@@ -83,20 +84,25 @@ def _strict(convert, what: str):
     return parse
 
 
-def _parse_csv(text: str, convert, what: str) -> tuple:
-    """``convert`` applied to each comma-separated part of ``text`` as it stands."""
-    _numeral(text, what)
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, refusing an exponent above 4300 (the default digit limit) before ``10**exp``."""
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-")
+    if exponent.isdigit() and int(exponent) > 4300:
+        raise ValueError("decimal exponent above 4300 in size")
+    return Fraction(text)
+
+
+def _parse(text: str, convert, what: str):
+    """``convert`` of ``text`` as it stands, once its numerals are checked."""
     try:
-        return tuple(convert(part) for part in text.split(","))
+        return convert(_numeral(text, what))
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliParseError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(_numeral(text, "rational"))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _CliParseError(f"cannot parse rational {text!r}: {exc}") from exc
+def _parse_csv(text: str, convert, what: str) -> tuple:
+    """``_parse`` with ``convert`` applied to each comma-separated part of ``text``."""
+    return _parse(text, lambda t: tuple(map(convert, t.split(","))), what)
 
 
 def _build_flag(args) -> ParabolicFlag:
@@ -109,7 +115,7 @@ def _omega0_coeffs(flag: ParabolicFlag, text: str) -> tuple:
     """Coefficients of ``--omega0``: the anticanonical ones, or parsed rationals."""
     if text.strip() == "anticanonical":
         return flag.anticanonical
-    return _parse_csv(text, Fraction, "rational vector")
+    return _parse_csv(text, _rational, "rational vector")
 
 
 def _bundles(args) -> list[LineBundleClass]:
@@ -207,7 +213,7 @@ def _cmd_gauduchon(args) -> dict:
     flag = _build_flag(args)
     bundles = _bundles(args)
     datum = build_t_gauduchon(
-        flag, args.k, _parse_fraction(args.t), bundles, diagnostic=args.diagnostic
+        flag, args.k, _parse(args.t, _rational, "rational"), bundles, diagnostic=args.diagnostic
     )
     residual = verify_ricci_flat(datum)
     ratio = verify_c1_trivial(datum)
@@ -242,7 +248,7 @@ def _cmd_verify_numeric(args) -> dict:
     from .potential_lab import check_eigenvalue_formula  # numpy loads only here
     flag = _build_flag(args)
     omega_coeffs = _omega0_coeffs(flag, args.omega0)
-    psi_coeffs = _parse_csv(args.psi, Fraction, "rational vector")
+    psi_coeffs = _parse_csv(args.psi, _rational, "rational vector")
     report = check_eigenvalue_formula(
         flag, omega_coeffs, psi_coeffs, step=args.step, tol=args.tol
     )
@@ -295,8 +301,15 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(report: dict, fmt: str) -> None:
-    text = _json(report) if fmt == "json" else "\n".join(_text_lines(report))
+def _render(report: dict, fmt: str) -> str:
+    try:
+        return _json(report) if fmt == "json" else "\n".join(_text_lines(report))
+    except ValueError as exc:  # an exact integer beyond the interpreter's str conversion limit
+        limit = sys.get_int_max_str_digits()
+        raise UnsupportedType(f"an exact result has more than {limit} digits to render") from exc
+
+
+def _emit(text: str) -> None:
     try:
         sys.stdout.write(text + "\n")
         sys.stdout.flush()
@@ -384,6 +397,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         report = {"command": args.command, "inputs": _inputs_echo(args)}
         results = _HANDLERS[args.command](args)
+        text = _render({**report, "results": results, "status": "ok"}, args.format)
     except _CliParseError as exc:
         print(f"flagcy: {exc}", file=sys.stderr)
         return 1
@@ -391,12 +405,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         report["results"] = {}
         report["status"] = "error"
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(report, args.format)
+        _emit(_render(report, args.format))
         return 3 if isinstance(exc, UnsupportedType) else 2
 
-    report["results"] = results
-    report["status"] = "ok"
-    _emit(report, args.format)
+    _emit(text)
     if args.command == "verify-numeric" and not results["passed"]:
         return 2
     return 0

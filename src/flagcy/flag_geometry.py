@@ -11,7 +11,7 @@ All invariants are linear in the class through the integer pairings
 positive roots ``beta`` not supported on ``I``.  ``make_flag`` computes that
 table once per flag, with the Weyl row ``<rho, beta_coroot>`` (the coroot
 heights) and the anticanonical coefficients.  ``_cleared`` is the one place
-a class's denominators are cleared, and the integer vector is what is paired.
+a class is checked and cleared, and the integer vector is what is paired.
 
 A Kahler reference ``omega`` is checked on every call, and reduced to its
 volume, integer contraction weights ``W[b] = lcm(p) / p[b]`` of its pairings
@@ -206,8 +206,9 @@ def is_kahler(flag: ParabolicFlag, c: InvariantClass) -> bool:
     return all(v.numerator > 0 for v in c.coeffs)
 
 
-def _cleared(c: InvariantClass) -> tuple[list[int], int]:
-    """Integer numerators ``x`` of a class over its least common denominator ``d``."""
+def _cleared(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
+    """The one place a class is checked and cleared: integer ``x`` over the common denominator ``d``."""
+    _check_class(flag, c)
     dens = [v.denominator for v in c.coeffs]
     x, d = [v.numerator for v in c.coeffs], lcm(*dens)
     return (x if d == 1 else [v * (d // e) for v, e in zip(x, dens)]), d
@@ -246,8 +247,7 @@ def _reference_weights(flag: ParabolicFlag, omega: InvariantClass) -> _Reference
     for the primitive integer ray ``r``, the pairings are ``m`` times those of
     ``r``, so only ``vol`` and ``scale`` depend on ``m`` and ``d``.
     """
-    _check_class(flag, omega)
-    return _cleared_reference(flag, *_cleared(omega))
+    return _cleared_reference(flag, *_cleared(flag, omega))
 
 
 def _cleared_reference(flag: ParabolicFlag, x: list[int], d: int) -> _Reference:
@@ -263,8 +263,7 @@ def _cleared_reference(flag: ParabolicFlag, x: list[int], d: int) -> _Reference:
 
 def _contraction(flag: ParabolicFlag, reference: _Reference, psi: InvariantClass) -> Fraction:
     """Rational part of the contraction of ``psi``: ``scale * (x . S) / d``, no table pass."""
-    _check_class(flag, psi)
-    x, d = _cleared(psi)
+    x, d = _cleared(flag, psi)
     total = sum(map(mul, x, reference.sums))
     if not total:
         return _ZERO
@@ -294,8 +293,7 @@ def endomorphism_eigenvalues(
     contraction; their common 2*pi power is ``psi.two_pi_power - omega0.two_pi_power``.
     """
     _, weights, scale, _ = _reference_weights(flag, omega0)
-    _check_class(flag, psi)
-    x, d = _cleared(psi)
+    x, d = _cleared(flag, psi)
     num, den = scale.numerator, scale.denominator * d
     pairs = zip(flag.pairing_table, weights)
     return tuple(Fraction(num * sum(map(mul, row, x)) * w, den) for row, w in pairs)

@@ -16,9 +16,9 @@ with no numpy warning on the way.  A point lists its coordinates in the
 order of ``phi_complement``.  The chart and the potentials take one point or
 a stack of shape (..., dim_c); the Hessians at the origin of several classes
 at one step share one stack of distinct stencil points, one chart stack on
-it and one log norm per Picard direction any of them uses, and each is
-Hermitian by construction.  So a check evaluates one stencil for both of its
-classes.
+it and one log norm per Picard direction any of them uses.  Each entry is one
+weighted sum of those stencil values, and each Hessian is Hermitian by
+construction.  So a check evaluates one stencil for both of its classes.
 
 Other families raise UnsupportedType: their fundamental representations have
 no minor realization here, and the exact engine already covers them.  So does
@@ -175,15 +175,16 @@ def kahler_potential(flag: ParabolicFlag, coefficients: Sequence, point: ArrayLi
 def _hessians_at_origin(flag: ParabolicFlag, classes: Sequence, h: float) -> np.ndarray:
     """Complex Hessians at the origin of the classes' potentials, shape ``(len(classes), n, n)``.
 
-    Wirtinger assembly: a quarter of the real Laplacian per coordinate on the
-    diagonal, the standard four-point cross stencils above it.  The 4n
-    diagonal and 8n(n-1) cross stencil points are stacked and every class's
-    potential is evaluated on them in one call, on one chart stack.  Each
-    entry below the diagonal is the conjugate of the one above, so every
-    Hessian is Hermitian by construction.  ``h`` is a validated step; a
-    Hessian with a non-finite entry is IllConditioned, with no warning on
-    the way.  A stencil of more than ``_STENCIL_CAP`` chart entries is
-    UnsupportedType, raised before the stencil is built.
+    Each entry is one weighted sum of stencil values, for phase steps ``s, t`` in
+    ``{1, -1, i, -i}`` and ``phi(0) = 0``: ``H[j, j] = sum_s phi(h s e_j) / (4 h^2)`` and
+    ``H[j, k] = sum_{s,t} conj(s) t phi(h s e_j + h t e_k) / (16 h^2)`` for ``j < k``.
+    The 4n diagonal and 8n(n-1) cross stencil points are stacked and every class's
+    potential is evaluated on them in one call, on one chart stack.  Each entry
+    below the diagonal is the conjugate of the one above, so every Hessian is
+    Hermitian by construction.  ``h`` is a validated step; a Hessian with a
+    non-finite entry is IllConditioned, with no warning on the way.  A stencil
+    of more than ``_STENCIL_CAP`` chart entries is UnsupportedType, raised
+    before the stencil is built.
     """
     rows = [_float_coeffs(c) for c in classes]
     m, n = len(rows), flag.dim_c
@@ -193,27 +194,17 @@ def _hessians_at_origin(flag: ParabolicFlag, classes: Sequence, h: float) -> np.
             f"the Hessian stencil of {flag.datum.lie_type} at dim_c {n} needs {entries} "
             f"chart entries, more than the lab's cap of {_STENCIL_CAP}"
         )
-    steps = h * np.array([1, -1, 1j, -1j])
+    units = np.array([1, -1, 1j, -1j])  # the phase steps s
     # coordinate j displaced by each step; coordinates j < k by each pair of steps
     diag = np.zeros((n, 4, n), dtype=complex)
-    diag[range(n), :, range(n)] = steps
+    diag[range(n), :, range(n)] = h * units
     j, k = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # pairs j < k, row by row
     points = np.concatenate([diag, (diag[j, :, None] + diag[k, None, :]).reshape(-1, 4, n)])
     phi = _potentials(flag, rows, points.reshape(-1, n))
     phi_diag, phi_cross = phi[:, : 4 * n].reshape(m, n, 4), phi[:, 4 * n :].reshape(m, -1, 4, 4)
-
-    # quarter Laplacian from the xx and yy differences; the potential vanishes at the origin
-    d2 = (phi_diag[..., 0::2] + phi_diag[..., 1::2]) / (h * h)
     H = np.zeros((m, n, n), dtype=complex)
-    H[:, range(n), range(n)] = 0.25 * (d2[..., 0] + d2[..., 1])
-    # mixed second derivatives along real (0) or imaginary (1) directions of
-    # j and k; steps 2a and 2a + 1 are opposite
-    pp, pm = phi_cross[..., 0::2, 0::2], phi_cross[..., 0::2, 1::2]
-    mp, mm = phi_cross[..., 1::2, 0::2], phi_cross[..., 1::2, 1::2]
-    second = (pp - pm - mp + mm) / (4.0 * h * h)
-    re = 0.25 * (second[..., 0, 0] + second[..., 1, 1])
-    im = 0.25 * (second[..., 0, 1] - second[..., 1, 0])
-    H[:, j, k] = re + 1j * im
+    H[:, range(n), range(n)] = phi_diag.sum(axis=-1) / (4.0 * h * h)
+    H[:, j, k] = np.einsum("st,mpst->mp", np.outer(units.conj(), units), phi_cross) / (16.0 * h * h)
     H[:, k, j] = H[:, j, k].conj()
     if not np.isfinite(H).all():
         raise IllConditioned(f"a Hessian at step {h} has a non-finite entry")

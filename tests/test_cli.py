@@ -307,6 +307,39 @@ def test_input_parse_errors_name_the_input(capsys, argv, message):
         assert capsys.readouterr() == ("", f"flagcy: {message}\n")
 
 
+def test_decimal_exponents_up_to_4300_still_parse(capsys):
+    # the bound is the default integer digit limit; the float options keep their own parsing
+    assert cli._rational("-1E+04300") == -(10**4300)
+    assert cli._rational(" 1e-4300 ") == Fraction(1, 10**4300)
+    with pytest.raises(ValueError, match="decimal exponent above 4300 in size"):
+        cli._rational("1e-4301")
+    code, report = run_json(capsys, "verify-numeric", "A", "2", "--psi=1,-1", "--step=1e-999999999")
+    assert code == 2 and report["error"]["type"] == "InvalidParameter"
+
+
+UNRENDERABLE_RESULTS = [
+    ["primitive-basis", "A", "3", "--omega0=1e2000,1,1"],
+    ["gauduchon", "A", "2", "--k", "1", "--t=-1e4300", "--bundle=-1,1"],
+]
+
+
+@pytest.mark.parametrize("argv", UNRENDERABLE_RESULTS, ids=lambda argv: argv[0])
+def test_results_beyond_the_digit_limit_are_unsupported(capsys, argv):
+    # an exact result of more than 4300 digits has no str; the request ends in an
+    # error report with exit 3, in both formats, instead of a traceback
+    message = f"an exact result has more than {sys.get_int_max_str_digits()} digits to render"
+    assert main([*argv, "--format", "json"]) == 3
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and report["status"] == "error" and report["results"] == {}
+    assert report["error"] == {"type": "UnsupportedType", "message": message}
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-3:] == ["status = error", "error.type = UnsupportedType",
+                                     f"error.message = {message}"]
+
+
 def test_invalid_rank_is_a_math_error(capsys):
     code, report = run_json(capsys, "describe", "E", "5")
     assert code == 2
@@ -699,6 +732,24 @@ def test_verify_numeric_refuses_a_stencil_above_the_cap(rank):
     error = json.loads(done.stdout)["error"]
     assert error["type"] == "UnsupportedType"
     assert "cap" in error["message"]
+
+
+HUGE_EXPONENTS = [
+    ["gauduchon", "A", "2", "--k", "1", "--t=1e999999999", "--bundle=-1,1"],
+    ["primitive-basis", "A", "2", "--omega0=1,1e-999999999"],
+    ["verify-numeric", "A", "2", "--psi=1E+999999999,-1"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_EXPONENTS, ids=lambda argv: argv[0])
+def test_huge_decimal_exponents_are_refused_before_they_are_expanded(argv):
+    # Fraction builds 10**exp before anything else, which would not end in time here;
+    # the child's 3 GiB address-space limit and the timeout turn a missing refusal into
+    # a failure instead of a stalled run
+    done = subprocess.run([sys.executable, "-c", CAPPED_CHILD, *argv, "--format", "json"],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "decimal exponent above 4300 in size" in done.stderr
 
 
 def _outcomes(requests):

@@ -296,6 +296,34 @@ def test_numeric_form_recovers_a_hermitian_quadratic(monkeypatch):
     assert np.array_equal(H, H.conj().T)
 
 
+def test_numeric_form_cross_stencil_beyond_second_order(monkeypatch):
+    # the quadratic test passes for any stencil exact to second order; on
+    # phi(z) = log(1 + z^H A z + Re z^T S z), with A Hermitian positive, the
+    # off-diagonal entries must equal the per-entry four-point reference at
+    # steps where the higher-order terms are large.  The pluriharmonic
+    # Re z^T S z leaves the Hessian at the origin alone but breaks the
+    # symmetry z -> i z, on which the 8 stencil points with a real step along
+    # coordinate j would give the same sums as all 16
+    flag = flag_of("A", 3, [2])
+    rng = np.random.default_rng(23)
+    B = rng.normal(size=(flag.dim_c,) * 2) + 1j * rng.normal(size=(flag.dim_c,) * 2)
+    A = B @ B.conj().T + np.eye(flag.dim_c)
+    S = (B + B.T) / (2 * np.linalg.norm(B + B.T, 2))  # |Re z^T S z| <= |z|^2 / 2
+
+    def log_quadratic(flag, rows, points):
+        z = np.asarray(points)
+        hermitian = np.einsum("...j,jk,...k->...", z.conj(), A, z)
+        pluriharmonic = np.einsum("...j,jk,...k->...", z, S, z)
+        return np.stack([np.log1p((hermitian + pluriharmonic).real)] * len(rows))
+
+    monkeypatch.setattr(potential_lab, "_potentials", log_quadratic)
+    for h in (1e-2, 0.3):
+        H, R = numeric_form_at_origin(flag, [1, 1], step=h), _reference_hessian(flag, [1, 1], h)
+        assert np.max(np.abs(H - R)) <= 1e-12 * np.max(np.abs(R))
+    off = ~np.eye(flag.dim_c, dtype=bool)
+    assert np.max(np.abs(H - A.T)[off]) > 0.1  # step 0.3 is far from the second-order limit
+
+
 def test_numeric_form_evaluates_the_potential_once(monkeypatch):
     flag = flag_of("A", 3, [2])
     calls, charts = [], []
