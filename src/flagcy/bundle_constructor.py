@@ -34,6 +34,7 @@ from .errors import (
     OddCount,
     PicardRankOne,
     TrivialBundle,
+    _fraction,
     _integer,
     _items,
 )
@@ -79,7 +80,7 @@ def _exact_k_t(k, t) -> tuple[int, Fraction]:
     """``k`` and ``t`` as exact numbers, validated once per call; ``k`` must be nonzero."""
     k = _integer(k, InvalidParameter, "twist k")
     try:
-        t = Fraction(t)
+        t = _fraction(t)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise InvalidParameter(f"connection parameter t must be a rational, got {t!r}") from exc
     if k == 0:

@@ -1,8 +1,12 @@
 """Command-line front end: exact text or JSON reports for every operation.
 
-Exit codes: 0 success, 1 parse error (a decimal exponent above 4300 in size among them),
-2 mathematical precondition violated (including a failed numeric tolerance check), 3
-unsupported feature (including an exact result beyond the interpreter's digit limit).
+Exit codes: 0 success, 1 parse error, 2 mathematical precondition violated (including a failed
+numeric tolerance check), 3 unsupported feature (including an exact result beyond the
+interpreter's digit limit).  The parser is the one registry of commands and options: each
+subcommand carries its handler, ``main`` builds the flag once and hands it over, and a report
+echoes the parsed inputs in the parser's order.  ``_parse`` reads every numeral, the argparse
+types' too, so a bad one reads ``flagcy: cannot parse <what> '<text>': <reason>``; a rational
+goes through ``errors._fraction``, which bounds its decimal exponent.
 Handlers return library values and only the emitters render them: an exact ``Fraction`` as
 its fraction string, never with a decimal point, and numeric-lab floats as plain floats.
 JSON output passes pre-rendered fragments through verbatim: ``describe`` renders its root
@@ -14,10 +18,10 @@ input that the report echoes may hold no control or line-break character (exit 1
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from fractions import Fraction
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _s
 from math import inf, isfinite
 from typing import Sequence
@@ -30,7 +34,7 @@ from .bundle_constructor import (
     verify_coclosed,
     verify_ricci_flat,
 )
-from .errors import FlagcyError, UnsupportedType
+from .errors import FlagcyError, UnsupportedType, _fraction
 from .flag_geometry import (
     InvariantClass,
     ParabolicFlag,
@@ -39,7 +43,7 @@ from .flag_geometry import (
     make_flag,
 )
 from .picard_lattice import LineBundleClass, primitive_basis
-from .root_system import LieType, build_root_datum
+from .root_system import FAMILIES, LieType, build_root_datum
 
 
 class _CliParseError(Exception):
@@ -49,17 +53,6 @@ class _CliParseError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map parse errors to 1
         raise _CliParseError(message)
-
-
-def _numeral(text: str, what: str) -> str:
-    """``text`` itself, once every numeral in it is known to be ASCII without ``_``.
-
-    ``int``, ``float`` and ``Fraction`` also read other Unicode digits and
-    ``_`` separators, and the echoed input would then hide the value used.
-    """
-    if not text.isascii() or "_" in text:
-        raise _CliParseError(f"cannot parse {what} {text!r}: numerals must be ASCII, without '_'")
-    return _printable(text, what)
 
 
 def _printable(text: str, what: str) -> str:
@@ -76,26 +69,16 @@ def _printable(text: str, what: str) -> str:
     return text
 
 
-def _strict(convert, what: str):
-    """An argparse type: ``convert`` of a checked numeral."""
-    def parse(text: str):
-        return convert(_numeral(text, what))
-    parse.__name__ = convert.__name__  # argparse names the type in its own messages
-    return parse
-
-
-def _rational(text: str) -> Fraction:
-    """``Fraction(text)``, refusing an exponent above 4300 (the default digit limit) before ``10**exp``."""
-    exponent = text.lower().partition("e")[2].strip().lstrip("+-")
-    if exponent.isdigit() and int(exponent) > 4300:
-        raise ValueError("decimal exponent above 4300 in size")
-    return Fraction(text)
-
-
 def _parse(text: str, convert, what: str):
-    """``convert`` of ``text`` as it stands, once its numerals are checked."""
+    """``convert`` of ``text`` as it stands, once its numerals are known to be ASCII without ``_``.
+
+    ``int``, ``float`` and ``Fraction`` also read other Unicode digits and ``_`` separators,
+    and the echoed input would then hide the value used.  The argparse types call it too.
+    """
+    if not text.isascii() or "_" in text:
+        raise _CliParseError(f"cannot parse {what} {text!r}: numerals must be ASCII, without '_'")
     try:
-        return convert(_numeral(text, what))
+        return convert(_printable(text, what))
     except (ValueError, ZeroDivisionError) as exc:
         raise _CliParseError(f"cannot parse {what} {text!r}: {exc}") from exc
 
@@ -105,17 +88,11 @@ def _parse_csv(text: str, convert, what: str) -> tuple:
     return _parse(text, lambda t: tuple(map(convert, t.split(","))), what)
 
 
-def _build_flag(args) -> ParabolicFlag:
-    datum = build_root_datum(LieType(args.family, args.rank))
-    text = args.parabolic.strip()
-    return make_flag(datum, _parse_csv(text, int, "parabolic set") if text else ())
-
-
 def _omega0_coeffs(flag: ParabolicFlag, text: str) -> tuple:
     """Coefficients of ``--omega0``: the anticanonical ones, or parsed rationals."""
     if text.strip() == "anticanonical":
         return flag.anticanonical
-    return _parse_csv(text, _rational, "rational vector")
+    return _parse_csv(text, _fraction, "rational vector")
 
 
 def _bundles(args) -> list[LineBundleClass]:
@@ -140,9 +117,8 @@ def _echo(value):
 
 
 def _inputs_echo(args) -> dict:
-    keys = ("family", "rank", "parabolic", "omega0", "gamma", "k", "t",
-            "bundle", "psi", "step", "tol", "diagnostic", "format")
-    echo = {k: _echo(getattr(args, k)) for k in keys if hasattr(args, k)}
+    """Every input of the request, in the parser's order, which puts ``--format`` last."""
+    echo = {k: _echo(v) for k, v in vars(args).items() if k not in ("command", "handler")}
     for key, value in echo.items():
         for text in value if isinstance(value, list) else [value]:
             if isinstance(text, str):
@@ -167,8 +143,7 @@ def _digits(coords: tuple[int, ...]) -> str:
     return bytes(coords).translate(_DIGITS).decode("ascii")
 
 
-def _cmd_describe(args) -> dict:
-    flag = _build_flag(args)
+def _cmd_describe(flag: ParabolicFlag, args) -> dict:
     off = set(map(id, flag.phi_complement))  # make_flag picks phi from the datum's own roots
     roots = flag.datum.positive_roots
     if args.format == "text":
@@ -191,8 +166,7 @@ def _cmd_describe(args) -> dict:
     }
 
 
-def _cmd_primitive_basis(args) -> dict:
-    flag = _build_flag(args)
+def _cmd_primitive_basis(flag: ParabolicFlag, args) -> dict:
     omega0 = class_from_coeffs(flag, _omega0_coeffs(flag, args.omega0))
     pb = primitive_basis(flag, omega0, args.gamma)
     # degree of xi against the minimal integral multiple of omega0: tau * (q . xi)
@@ -209,11 +183,10 @@ def _cmd_primitive_basis(args) -> dict:
     }
 
 
-def _cmd_gauduchon(args) -> dict:
-    flag = _build_flag(args)
+def _cmd_gauduchon(flag: ParabolicFlag, args) -> dict:
     bundles = _bundles(args)
     datum = build_t_gauduchon(
-        flag, args.k, _parse(args.t, _rational, "rational"), bundles, diagnostic=args.diagnostic
+        flag, args.k, _parse(args.t, _fraction, "rational"), bundles, diagnostic=args.diagnostic
     )
     residual = verify_ricci_flat(datum)
     ratio = verify_c1_trivial(datum)
@@ -229,8 +202,7 @@ def _cmd_gauduchon(args) -> dict:
     }
 
 
-def _cmd_balanced(args) -> dict:
-    flag = _build_flag(args)
+def _cmd_balanced(flag: ParabolicFlag, args) -> dict:
     omega0 = class_from_coeffs(flag, _omega0_coeffs(flag, args.omega0))
     datum = build_balanced(flag, omega0, _bundles(args))
     coclosed = verify_coclosed(datum)
@@ -244,24 +216,14 @@ def _cmd_balanced(args) -> dict:
     }
 
 
-def _cmd_verify_numeric(args) -> dict:
+def _cmd_verify_numeric(flag: ParabolicFlag, args) -> dict:
     from .potential_lab import check_eigenvalue_formula  # numpy loads only here
-    flag = _build_flag(args)
     omega_coeffs = _omega0_coeffs(flag, args.omega0)
-    psi_coeffs = _parse_csv(args.psi, _rational, "rational vector")
+    psi_coeffs = _parse_csv(args.psi, _fraction, "rational vector")
     report = check_eigenvalue_formula(
         flag, omega_coeffs, psi_coeffs, step=args.step, tol=args.tol
     )
     return dict(vars(report))  # the report's fields, in field order
-
-
-_HANDLERS = {
-    "describe": _cmd_describe,
-    "primitive-basis": _cmd_primitive_basis,
-    "gauduchon": _cmd_gauduchon,
-    "balanced": _cmd_balanced,
-    "verify-numeric": _cmd_verify_numeric,
-}
 
 
 def _text_lines(value, prefix: str = "") -> list[str]:
@@ -318,40 +280,40 @@ def _emit(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("family", choices=list("ABCDEFG"), help="simple Lie family")
-    sub.add_argument("rank", type=_strict(int, "rank"), help="rank of the family")
-    sub.add_argument(
+def _command(subs, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """The subcommand ``name`` with the inputs of its flag; ``main`` builds it for ``handler``."""
+    p = subs.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    p.add_argument("family", choices=FAMILIES, help="simple Lie family")
+    p.add_argument("rank", type=partial(_parse, convert=int, what="rank"), help="rank of the family")
+    p.add_argument(
         "--parabolic",
         default="",
         help="comma-separated 1-based simple-root indices spanning the parabolic; empty for the full flag",
     )
-    sub.add_argument("--format", choices=("text", "json"), default="text")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flagcy", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("describe", help="invariant geometry of one flag variety")
-    _add_common(p)
+    _command(subs, "describe", _cmd_describe, "invariant geometry of one flag variety")
 
-    p = subs.add_parser("primitive-basis", help="degree-zero Picard generators")
-    _add_common(p)
+    p = _command(subs, "primitive-basis", _cmd_primitive_basis, "degree-zero Picard generators")
     p.add_argument(
         "--omega0",
         default="anticanonical",
         help="Kahler class: comma-separated rationals over the Picard directions, or 'anticanonical'",
     )
     p.add_argument(
-        "--gamma", type=_strict(int, "pivot index"), default=None,
+        "--gamma", type=partial(_parse, convert=int, what="pivot index"), default=None,
         help="pivot simple-root index (1-based)",
     )
 
-    p = subs.add_parser("gauduchon", help="build and verify a Ricci-flat torus-bundle datum")
-    _add_common(p)
+    p = _command(subs, "gauduchon", _cmd_gauduchon, "build and verify a Ricci-flat torus-bundle datum")
     p.add_argument(
-        "--k", type=_strict(int, "twist"), required=True,
+        "--k", type=partial(_parse, convert=int, what="twist"), required=True,
         help="nonzero twist of the anticanonical root",
     )
     p.add_argument("--t", required=True, help="connection parameter, a rational < 1")
@@ -367,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="admit t >= 1 so the nonzero residual can be inspected",
     )
 
-    p = subs.add_parser("balanced", help="build and verify a balanced torus-bundle datum")
-    _add_common(p)
+    p = _command(subs, "balanced", _cmd_balanced, "build and verify a balanced torus-bundle datum")
     p.add_argument("--omega0", default="anticanonical")
     p.add_argument(
         "--bundle",
@@ -377,26 +338,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="degree-zero bundle exponents (repeatable; need an even number)",
     )
 
-    p = subs.add_parser(
-        "verify-numeric", help="finite-difference eigenvalue check on a type-A big cell"
+    p = _command(
+        subs, "verify-numeric", _cmd_verify_numeric,
+        "finite-difference eigenvalue check on a type-A big cell",
     )
-    _add_common(p)
     p.add_argument("--omega0", default="anticanonical")
     p.add_argument("--psi", required=True, help="class coefficients, e.g. --psi=-1,1")
-    p.add_argument("--step", type=_strict(float, "step"), default=1e-4)
-    p.add_argument("--tol", type=_strict(float, "tolerance"), default=1e-5)
+    p.add_argument("--step", type=partial(_parse, convert=float, what="step"), default=1e-4)
+    p.add_argument("--tol", type=partial(_parse, convert=float, what="tolerance"), default=1e-5)
 
+    for p in subs.choices.values():  # added last, so every report echoes it last
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
-_parser = functools.cache(build_parser)  # parse_args keeps no state, so one parser serves all calls
+_parser = cache(build_parser)  # parse_args keeps no state, so one parser serves all calls
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         report = {"command": args.command, "inputs": _inputs_echo(args)}
-        results = _HANDLERS[args.command](args)
+        datum = build_root_datum(LieType(args.family, args.rank))
+        parabolic = args.parabolic.strip()
+        flag = make_flag(datum, _parse_csv(parabolic, int, "parabolic set") if parabolic else ())
+        results = args.handler(flag, args)
         text = _render({**report, "results": results, "status": "ok"}, args.format)
     except _CliParseError as exc:
         print(f"flagcy: {exc}", file=sys.stderr)

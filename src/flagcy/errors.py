@@ -1,4 +1,10 @@
-"""Exception types shared across the package, and the input checks that raise them."""
+"""Exception types shared across the package, and the input checks that raise them.
+
+``_fraction`` is the one ``Fraction`` constructor for outside values: it refuses a decimal
+exponent above 4300 in size (CPython's default integer digit limit) before ``10**exp`` is built.
+"""
+
+from fractions import Fraction
 
 
 class FlagcyError(Exception):
@@ -72,9 +78,20 @@ def _integer(value, error: type[FlagcyError], what: str) -> int:
     raise error(f"{what} must be an integer, got {value!r}")
 
 
+def _fraction(value) -> Fraction:
+    """``Fraction(value)``, refusing a decimal exponent above 4300 in size (``_`` separators too)."""
+    if isinstance(value, str):
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if exponent.isdigit() and int(exponent) > 4300:
+            raise ValueError("decimal exponent above 4300 in size")
+    return Fraction(value)
+
+
 def _items(value, error: type[FlagcyError], what: str) -> tuple:
-    """``value`` as a tuple; ``error`` instead of a raw TypeError for ``None`` or ``5``."""
+    """``value`` as a tuple; ``error`` instead of a raw TypeError for ``None``, ``5`` or ``"12"``."""
     try:
+        if isinstance(value, (str, bytes)):
+            raise TypeError("text is not a sequence")
         return tuple(value)
     except TypeError as exc:
         raise error(f"{what} must be a sequence, got {value!r}") from exc

@@ -38,6 +38,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     NotKahler,
+    _fraction,
     _integer,
     _items,
 )
@@ -123,16 +124,18 @@ class InvariantClass:
     """(2*pi)^two_pi_power times a rational vector over the Picard basis.
 
     The zero vector is normalized to power 0, so structural equality of the
-    dataclass is exactly equality of classes.  Non-rational coefficients and a
-    non-integral power raise InvalidParameter.
+    dataclass is exactly equality of classes.  Coefficients that are no sequence (a
+    ``str`` among them) or no rationals (a decimal exponent that ``errors._fraction``
+    refuses among them) and a non-integral power raise InvalidParameter.
     """
 
     two_pi_power: int
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        try:
-            coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+        try:  # an int has no decimal exponent, so only other values take the bounded _fraction
+            coeffs = tuple(c if type(c) is Fraction else Fraction(c) if type(c) is int else _fraction(c)
+                           for c in _items(self.coeffs, InvalidParameter, "coefficients"))
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"coefficients must be rationals, got {self.coeffs!r}") from exc
         power = self.two_pi_power
@@ -157,7 +160,7 @@ class InvariantClass:
 
     def scaled(self, s) -> "InvariantClass":
         try:
-            s = Fraction(s)
+            s = _fraction(s)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"scale factor must be a rational, got {s!r}") from exc
         return InvariantClass(self.two_pi_power, tuple(s * c for c in self.coeffs))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import inspect
@@ -20,6 +21,7 @@ import flagcy.cli as cli
 import flagcy.flag_geometry as flag_geometry
 import flagcy.picard_lattice as picard_lattice
 from flagcy.cli import main
+from flagcy.errors import _fraction
 
 from conftest import flag_of
 
@@ -297,6 +299,16 @@ INPUT_PARSE_ERRORS = [
      "cannot parse bundle exponents 'a,1': invalid literal for int() with base 10: 'a'"),
     (["gauduchon", "A", "2", "--k", "1", "--t", "x", "--bundle=-1,1"],
      "cannot parse rational 'x': Invalid literal for Fraction: 'x'"),
+    # the argparse types read their numerals through the same parser and wording
+    (["describe", "A", "x"], "cannot parse rank 'x': invalid literal for int() with base 10: 'x'"),
+    (["primitive-basis", "A", "2", "--gamma=x"],
+     "cannot parse pivot index 'x': invalid literal for int() with base 10: 'x'"),
+    (["gauduchon", "A", "2", "--k=1.5", "--t=-1", "--bundle=-1,1"],
+     "cannot parse twist '1.5': invalid literal for int() with base 10: '1.5'"),
+    (["verify-numeric", "A", "2", "--psi=1,-1", "--step=x"],
+     "cannot parse step 'x': could not convert string to float: 'x'"),
+    (["verify-numeric", "A", "2", "--psi=1,-1", "--tol=1/2"],
+     "cannot parse tolerance '1/2': could not convert string to float: '1/2'"),
 ]
 
 
@@ -309,10 +321,11 @@ def test_input_parse_errors_name_the_input(capsys, argv, message):
 
 def test_decimal_exponents_up_to_4300_still_parse(capsys):
     # the bound is the default integer digit limit; the float options keep their own parsing
-    assert cli._rational("-1E+04300") == -(10**4300)
-    assert cli._rational(" 1e-4300 ") == Fraction(1, 10**4300)
-    with pytest.raises(ValueError, match="decimal exponent above 4300 in size"):
-        cli._rational("1e-4301")
+    assert _fraction("-1E+04300") == -(10**4300)
+    assert _fraction(" 1e-4300 ") == Fraction(1, 10**4300)
+    for text in ("1e-4301", "1e999_999_999"):
+        with pytest.raises(ValueError, match="decimal exponent above 4300 in size"):
+            _fraction(text)
     code, report = run_json(capsys, "verify-numeric", "A", "2", "--psi=1,-1", "--step=1e-999999999")
     assert code == 2 and report["error"]["type"] == "InvalidParameter"
 
@@ -501,6 +514,30 @@ def test_reports_beyond_a2_match_their_digests(capsys, family, rank, parabolic, 
     (code, out), (text_code, text) = run(capsys, *argv, "--format", "json"), run(capsys, *argv)
     assert code == text_code == 0
     assert hashlib.sha256((out + text).encode()).hexdigest() == BEYOND_A2_DIGESTS[family, rank, parabolic, case]
+
+
+# SHA-256 of the A2 text report of each command beyond describe, each request with every option
+# of its command; the inputs.* lines pin the order in which each command echoes its options
+A2_TEXT_DIGESTS = {
+    ("primitive-basis", "--omega0=1,2/3", "--gamma", "2"):
+        "38af78cc43f14f6dc90f583f68147de3adfad3da62c8fe3dc12364477b3b5b49",
+    ("gauduchon", "--k", "2", "--t", "1/3", "--bundle=-1,1", "--diagnostic"):
+        "2bb0d963d0e5070c8b65ccce432717243db723472a45d4db0e94c471553f3acc",
+    ("balanced", "--bundle=-1,1", "--bundle=-2,2"):
+        "47f24cb9f3c436eebf8122903326a9c9702b78f8d1115b3799bb74e87c8cf661",
+    ("verify-numeric", "--omega0=1,2", "--psi=1,-1", "--step=1e-3", "--tol=1e-4"):
+        "990e4c3b2e844e5bf57dd53756cd8f3f16c243f7df1fb45bc675108467135d2c",
+}
+
+
+@pytest.mark.parametrize("request_", sorted(A2_TEXT_DIGESTS), ids=lambda request_: request_[0])
+def test_a2_text_reports_match_their_digests(capsys, request_):
+    command, *options = request_
+    code, out = run(capsys, command, "A", "2", *options)
+    assert code == 0
+    # the lab's float results depend on the LAPACK build, so only their keys are pinned
+    out = re.sub(r"^(results\.(numeric\[\d+\]|max_deviation)) = .*$", r"\1", out, flags=re.M)
+    assert hashlib.sha256(out.encode()).hexdigest() == A2_TEXT_DIGESTS[request_]
 
 
 def test_verify_numeric_report_keeps_its_key_order_and_exact_strings(capsys):
@@ -752,6 +789,28 @@ def test_huge_decimal_exponents_are_refused_before_they_are_expanded(argv):
     assert "decimal exponent above 4300 in size" in done.stderr
 
 
+CAPPED_LIBRARY_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+import flagcy
+flag = flagcy.make_flag(flagcy.build_root_datum(flagcy.LieType("A", 2)), ())
+try:
+    flagcy.class_from_coeffs(flag, [sys.argv[1], 1])
+except flagcy.InvalidParameter as exc:
+    assert "decimal exponent above 4300 in size" in str(exc.__cause__), exc.__cause__
+else:
+    raise SystemExit("no InvalidParameter")
+"""
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "-1E-999_999_999"])
+def test_library_refuses_huge_decimal_exponents_before_they_are_expanded(text):
+    # the library reads a rational string through the same bound as the CLI
+    done = subprocess.run([sys.executable, "-c", CAPPED_LIBRARY_CHILD, text],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr + done.stdout
+
+
 def _outcomes(requests):
     outcomes = []
     for argv in requests:
@@ -791,7 +850,8 @@ def test_reused_parser_answers_like_a_fresh_one(monkeypatch):
 def test_reused_parser_prints_the_same_help(monkeypatch):
     def help_texts():
         texts = []
-        for command in ([], *([name] for name in cli._HANDLERS)):
+        subs = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for command in ([], *([name] for name in subs.choices)):
             out = io.StringIO()
             with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
                 main([*command, "--help"])

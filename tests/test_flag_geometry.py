@@ -36,6 +36,7 @@ from flagcy import (
     make_flag,
     primitive_basis,
     ricci_class,
+    ricci_flat_scale,
     verify_c1_trivial,
     verify_coclosed,
     verify_ricci_flat,
@@ -482,6 +483,28 @@ def test_non_iterable_vector_input_is_a_typed_error(call, error):
             ),
             InvalidParameter,
             id="verify_coclosed-BalancedDatum-flag-5",
+        ),
+        # text is not a sequence of coefficients or exponents, whatever its characters
+        pytest.param(lambda f, w: class_from_coeffs(f, "12"), InvalidParameter, id="class_from_coeffs-str"),
+        pytest.param(lambda f, w: InvariantClass(0, "34"), InvalidParameter, id="InvariantClass-str"),
+        pytest.param(lambda f, w: LineBundleClass(b"\x01\x02"), InvalidParameter, id="LineBundleClass-bytes"),
+        # a decimal exponent above 4300 in size, refused before Fraction expands it; a negative
+        # t is admissible, so only the bound refuses it
+        pytest.param(
+            lambda f, w: class_from_coeffs(f, ["1e4301", 1]), InvalidParameter, id="class_from_coeffs-1e4301"
+        ),
+        pytest.param(lambda f, w: InvariantClass(0, ("1e4301", 1)), InvalidParameter, id="InvariantClass-1e4301"),
+        pytest.param(lambda f, w: w.scaled("1e4301"), InvalidParameter, id="scaled-1e4301"),
+        pytest.param(lambda f, w: ricci_flat_scale(f, 1, "-1e4301"), InvalidParameter, id="ricci_flat_scale-1e4301"),
+        pytest.param(
+            lambda f, w: build_t_gauduchon(f, 1, "-1e4301", [LineBundleClass((-1, 1))]),
+            InvalidParameter,
+            id="build_t_gauduchon-1e4301",
+        ),
+        pytest.param(
+            lambda f, w: verify_ricci_flat(replace(_gauduchon(f), t="-1e4301")),
+            InvalidParameter,
+            id="verify_ricci_flat-t-1e4301",
         ),
     ],
 )
