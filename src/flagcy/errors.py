@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the input checks that raise them.
 
 ``_fraction`` is the one ``Fraction`` constructor for outside values: it refuses a decimal
-exponent above 4300 in size (CPython's default integer digit limit) before ``10**exp`` is built.
+exponent above 4300 in size (CPython's default integer digit limit), written in a ``str`` or
+stored in a ``Decimal``, before ``10**exp`` is built.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -79,18 +81,24 @@ def _integer(value, error: type[FlagcyError], what: str) -> int:
 
 
 def _fraction(value) -> Fraction:
-    """``Fraction(value)``, refusing a decimal exponent above 4300 in size (``_`` separators too)."""
+    """``Fraction(value)``, refusing a decimal exponent above 4300 in size.
+
+    The exponent is the one written in a ``str`` (``_`` separators dropped) or the one a finite
+    ``Decimal`` stores; either would otherwise become ``10**exp`` inside ``Fraction``.
+    """
     if isinstance(value, str):
         exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
         if exponent.isdigit() and int(exponent) > 4300:
             raise ValueError("decimal exponent above 4300 in size")
+    elif isinstance(value, Decimal) and value.is_finite() and abs(value.as_tuple().exponent) > 4300:
+        raise ValueError("decimal exponent above 4300 in size")
     return Fraction(value)
 
 
 def _items(value, error: type[FlagcyError], what: str) -> tuple:
     """``value`` as a tuple; ``error`` instead of a raw TypeError for ``None``, ``5`` or ``"12"``."""
     try:
-        if isinstance(value, (str, bytes)):
+        if isinstance(value, (str, bytes, bytearray, memoryview)):
             raise TypeError("text is not a sequence")
         return tuple(value)
     except TypeError as exc:

@@ -133,8 +133,8 @@ class InvariantClass:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        try:  # an int has no decimal exponent, so only other values take the bounded _fraction
-            coeffs = tuple(c if type(c) is Fraction else Fraction(c) if type(c) is int else _fraction(c)
+        try:
+            coeffs = tuple(c if type(c) is Fraction else _fraction(c)
                            for c in _items(self.coeffs, InvalidParameter, "coefficients"))
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"coefficients must be rationals, got {self.coeffs!r}") from exc

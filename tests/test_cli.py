@@ -791,11 +791,13 @@ def test_huge_decimal_exponents_are_refused_before_they_are_expanded(argv):
 
 CAPPED_LIBRARY_CHILD = """
 import resource, sys
+from decimal import Decimal
 resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 import flagcy
 flag = flagcy.make_flag(flagcy.build_root_datum(flagcy.LieType("A", 2)), ())
+kind, text = sys.argv[1:]
 try:
-    flagcy.class_from_coeffs(flag, [sys.argv[1], 1])
+    flagcy.class_from_coeffs(flag, [Decimal(text) if kind == "Decimal" else text, 1])
 except flagcy.InvalidParameter as exc:
     assert "decimal exponent above 4300 in size" in str(exc.__cause__), exc.__cause__
 else:
@@ -803,10 +805,15 @@ else:
 """
 
 
-@pytest.mark.parametrize("text", ["1e999999999", "-1E-999_999_999"])
-def test_library_refuses_huge_decimal_exponents_before_they_are_expanded(text):
-    # the library reads a rational string through the same bound as the CLI
-    done = subprocess.run([sys.executable, "-c", CAPPED_LIBRARY_CHILD, text],
+@pytest.mark.parametrize("kind, text", [
+    pytest.param("str", "1e999999999", id="1e999999999"),
+    pytest.param("str", "-1E-999_999_999", id="-1E-999_999_999"),
+    pytest.param("Decimal", "1e999999999", id="Decimal-1e999999999"),
+    pytest.param("Decimal", "-1e-999999999", id="Decimal--1e-999999999"),
+])
+def test_library_refuses_huge_decimal_exponents_before_they_are_expanded(kind, text):
+    # the library reads a rational string or Decimal through the same bound as the CLI
+    done = subprocess.run([sys.executable, "-c", CAPPED_LIBRARY_CHILD, kind, text],
                           env=_subprocess_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr + done.stdout
 

@@ -4,6 +4,7 @@ import inspect
 import pkgutil
 import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
@@ -488,6 +489,12 @@ def test_non_iterable_vector_input_is_a_typed_error(call, error):
         pytest.param(lambda f, w: class_from_coeffs(f, "12"), InvalidParameter, id="class_from_coeffs-str"),
         pytest.param(lambda f, w: InvariantClass(0, "34"), InvalidParameter, id="InvariantClass-str"),
         pytest.param(lambda f, w: LineBundleClass(b"\x01\x02"), InvalidParameter, id="LineBundleClass-bytes"),
+        pytest.param(
+            lambda f, w: LineBundleClass(bytearray(b"\x01\x02")), InvalidParameter, id="LineBundleClass-bytearray"
+        ),
+        pytest.param(
+            lambda f, w: LineBundleClass(memoryview(b"\x01\x02")), InvalidParameter, id="LineBundleClass-memoryview"
+        ),
         # a decimal exponent above 4300 in size, refused before Fraction expands it; a negative
         # t is admissible, so only the bound refuses it
         pytest.param(
@@ -495,6 +502,16 @@ def test_non_iterable_vector_input_is_a_typed_error(call, error):
         ),
         pytest.param(lambda f, w: InvariantClass(0, ("1e4301", 1)), InvalidParameter, id="InvariantClass-1e4301"),
         pytest.param(lambda f, w: w.scaled("1e4301"), InvalidParameter, id="scaled-1e4301"),
+        pytest.param(
+            lambda f, w: class_from_coeffs(f, [Decimal("1e4301"), 1]), InvalidParameter, id="class_from_coeffs-Decimal"
+        ),
+        pytest.param(
+            lambda f, w: InvariantClass(0, (Decimal("-1e-4301"), 1)), InvalidParameter, id="InvariantClass-Decimal"
+        ),
+        pytest.param(lambda f, w: w.scaled(Decimal("1e4301")), InvalidParameter, id="scaled-Decimal"),
+        pytest.param(
+            lambda f, w: ricci_flat_scale(f, 1, Decimal("-1e4301")), InvalidParameter, id="ricci_flat_scale-Decimal"
+        ),
         pytest.param(lambda f, w: ricci_flat_scale(f, 1, "-1e4301"), InvalidParameter, id="ricci_flat_scale-1e4301"),
         pytest.param(
             lambda f, w: build_t_gauduchon(f, 1, "-1e4301", [LineBundleClass((-1, 1))]),
