@@ -81,11 +81,7 @@ def _integer(value, error: type[FlagcyError], what: str) -> int:
 
 
 def _fraction(value) -> Fraction:
-    """``Fraction(value)``, refusing a decimal exponent above 4300 in size.
-
-    The exponent is the one written in a ``str`` (``_`` separators dropped) or the one a finite
-    ``Decimal`` stores; either would otherwise become ``10**exp`` inside ``Fraction``.
-    """
+    """``Fraction(value)``, refusing a ``str`` (``_`` separators too) or ``Decimal`` exponent above 4300."""
     if isinstance(value, str):
         exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
         if exponent.isdigit() and int(exponent) > 4300:
