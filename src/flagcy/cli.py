@@ -26,6 +26,7 @@ from json.encoder import encode_basestring_ascii as _s
 from math import inf, isfinite
 from typing import Sequence
 
+from . import __version__
 from .bundle_constructor import (
     build_balanced,
     build_t_gauduchon,
@@ -296,6 +297,7 @@ def _command(subs, name: str, handler, help: str) -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flagcy", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"flagcy {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
     _command(subs, "describe", _cmd_describe, "invariant geometry of one flag variety")

@@ -91,6 +91,8 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
     Each index may appear once; the pairing table, Weyl row and
     anticanonical coefficients are computed here, once per flag.
     """
+    if not isinstance(datum, RootDatum):
+        raise InvalidParameter(f"expected a RootDatum, got {datum!r}")
     parabolic = _items(parabolic, IndexOutOfRange, "parabolic set")
     indices = [_integer(i, IndexOutOfRange, "simple-root index") for i in parabolic]
     pset = frozenset(indices)

@@ -1,7 +1,10 @@
 """Exact root systems of the simple complex Lie algebras.
 
-Root and coroot coordinates are exact integers.  Roots are built one height
-level at a time: a root ``beta`` carries its Cartan row ``r``, its half
+Root and coroot coordinates are exact integers.  Types A-D come from closed
+forms (Bourbaki, Plates I-IV): every positive root is a tail of one of a few
+templates, and one sort puts them in order.  Types E, F and G come from the
+closure, which also checks the closed forms in the tests: roots are built one
+height level at a time, a root ``beta`` carries its Cartan row ``r``, its half
 square length and the down-lengths ``p`` of its simple root strings, and
 ``beta + alpha_i`` is a root exactly when ``p_i > r_i``; it inherits all
 three by one addition each, ``p_i`` growing by one.  The coroot coordinates
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from math import gcd
 from operator import add, gt, mul
 
 from .errors import InvalidRank, _integer
@@ -65,10 +69,16 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
+def _family_rank(lie_type: LieType) -> tuple[str, int]:
+    """The family and rank of a ``LieType``; any other object is InvalidRank."""
+    if not isinstance(lie_type, LieType):
+        raise InvalidRank(f"expected a LieType, got {lie_type!r}")
+    return lie_type.family, lie_type.rank
+
+
 def positive_root_count(lie_type: LieType) -> int:
     """Closed-form number of positive roots for each family."""
-    n = lie_type.rank
-    fam = lie_type.family
+    fam, n = _family_rank(lie_type)
     if fam == "A":
         return n * (n + 1) // 2
     if fam in ("B", "C"):
@@ -82,7 +92,7 @@ def positive_root_count(lie_type: LieType) -> int:
 
 def cartan_matrix(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with ``C[i][j] = <alpha_i, alpha_j_coroot>`` (0-based)."""
-    n, fam = lie_type.rank, lie_type.family
+    fam, n = _family_rank(lie_type)
     C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def bond(i: int, j: int, cij: int = -1, cji: int = -1) -> None:
@@ -121,7 +131,7 @@ def cartan_matrix(lie_type: LieType) -> tuple[tuple[int, ...], ...]:
 
 def symmetrizer(lie_type: LieType) -> tuple[int, ...]:
     """Half square lengths d_j of the simple roots, short roots scaled to 1."""
-    n, fam = lie_type.rank, lie_type.family
+    fam, n = _family_rank(lie_type)
     if fam in ("A", "D", "E"):
         return (1,) * n
     if fam == "B":
@@ -163,23 +173,14 @@ class RootDatum:
         return self.lie_type.rank
 
 
-@lru_cache(maxsize=None)
-def build_root_datum(lie_type: LieType) -> RootDatum:
+def _closure(C: tuple[tuple[int, ...], ...], d: tuple[int, ...]) -> list[PositiveRoot]:
     """Enumerate all positive roots one height level at a time.
 
-    Only the current and the next level are kept.  Roots are listed by
-    increasing height, within a level in decreasing lexicographic order, so
-    the root supported on earlier simple roots comes first.  The whole
-    computation is exact and cached per Lie type.
+    Only the current and the next level are kept, and each level is emitted in
+    decreasing lexicographic order.  Builds types E, F and G, and is the
+    tests' oracle for ``_closed_form``.
     """
-    n = lie_type.rank
-    C = cartan_matrix(lie_type)
-    d = symmetrizer(lie_type)
-    for i in range(n):
-        for j in range(n):
-            if C[i][j] * d[j] != C[j][i] * d[i]:
-                raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
-
+    n = len(d)
     indices = range(n)
     level = {tuple(1 if j == i else 0 for j in indices): (C[i], d[i], [0] * n) for i in indices}
     roots = []
@@ -205,7 +206,64 @@ def build_root_datum(lie_type: LieType) -> RootDatum:
                     entry = grown[cand] = (tuple(map(add, r, C[i])), h + d[i] * (r[i] + 1), [0] * n)
                 entry[2][i] = down[i] + 1
         level = grown
+    return roots
 
+
+def _closed_form(family: str, d: tuple[int, ...]) -> list[PositiveRoot]:
+    """The positive roots of type A-D, each a tail ``z[:i] + T[i:]`` of a template ``T``.
+
+    In the ``e_k`` of Bourbaki's Plates I-IV (1-based), the tails of ``(1,)*j + z[j:]``
+    are ``e_{i+1} - e_{j+1}`` (``e_{i+1}`` in B at ``j = n``), those of the doubled
+    templates ``e_{i+1} + e_{j+1}``, of C's ``(2,)*(n-1) + (1,)`` ``2 e_{i+1}`` and of
+    D's ``(1,)*(n-2) + (0, 1)`` ``e_{i+1} + e_n``.  A template's tails share its half
+    square length ``h``, the gcd of ``T_j d_j`` (a coroot is primitive, like the simple
+    coroot it is Weyl-conjugate to), so a tail's coroot is that tail of ``T_j d_j / h``.
+    """
+    n = len(d)
+    z = (0,) * n
+    # (T, stop): the roots are z[:i] + T[i:] for i < stop
+    runs = [((1,) * j + z[j:], j) for j in range(1, n + 1 if family in "AB" else n)]
+    if family == "B":
+        runs += [((1,) * j + (2,) * (n - j), j) for j in range(1, n)]
+    elif family == "C":
+        runs += [((1,) * j + (2,) * (n - 1 - j) + (1,), j) for j in range(1, n)]
+        runs.append(((2,) * (n - 1) + (1,), n))
+    elif family == "D":
+        runs.append(((1,) * (n - 2) + (0, 1), n - 1))
+        runs += [((1,) * j + (2,) * (n - 2 - j) + (1, 1), j) for j in range(1, n - 1)]
+    rows = []
+    for t, stop in runs:
+        scaled = tuple(map(mul, t, d))
+        h = gcd(*scaled)
+        c = tuple(x // h for x in scaled)
+        same = c == t  # as in A and D: each coroot tuple is its root tuple
+        height = -sum(t)
+        for i in range(stop):
+            beta = z[:i] + t[i:]
+            rows.append((height, beta, beta if same else z[:i] + c[i:]))
+            height += t[i]
+    rows.sort(reverse=True)  # the closure's order: by height, then decreasing root
+    return [PositiveRoot(beta, coroot) for _, beta, coroot in rows]
+
+
+@lru_cache(maxsize=None)
+def build_root_datum(lie_type: LieType) -> RootDatum:
+    """The root datum of ``lie_type``, exact and cached per Lie type.
+
+    Roots are listed by increasing height, within a level in decreasing
+    lexicographic order, so the root supported on earlier simple roots comes
+    first.  Types A-D come from closed forms, E, F and G from the
+    level-by-level closure.
+    """
+    C = cartan_matrix(lie_type)
+    d = symmetrizer(lie_type)
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            if C[i][j] * d[j] != C[j][i] * d[i]:
+                raise AssertionError("symmetrizer does not symmetrize the Cartan matrix")
+
+    roots = _closed_form(lie_type.family, d) if lie_type.family in "ABCD" else _closure(C, d)
     if len(roots) != positive_root_count(lie_type):
         raise AssertionError(
             f"enumerated {len(roots)} positive roots for {lie_type}, "

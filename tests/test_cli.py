@@ -872,6 +872,20 @@ def test_reused_parser_prints_the_same_help(monkeypatch):
     assert reused == help_texts()
 
 
+def test_version_prints_one_line_and_exits_zero():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        main(["--version"])
+    assert exit_info.value.code == 0
+    assert out.getvalue() == f"flagcy {flagcy.__version__}\n"
+
+
+def test_version_matches_pyproject():
+    # Python 3.10 has no tomllib, so the version line is read with a regex
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    assert flagcy.__version__ == re.search(r'^version = "([^"]+)"$', text, re.M).group(1)
+
+
 def test_public_names_are_pinned():
     public = sorted(
         name for name in dir(flagcy)

@@ -26,6 +26,7 @@ from flagcy import (
     build_balanced,
     build_root_datum,
     build_t_gauduchon,
+    cartan_matrix,
     class_from_coeffs,
     degree,
     endomorphism_eigenvalues,
@@ -35,9 +36,11 @@ from flagcy import (
     lee_form_coefficients,
     lefschetz_contraction,
     make_flag,
+    positive_root_count,
     primitive_basis,
     ricci_class,
     ricci_flat_scale,
+    symmetrizer,
     verify_c1_trivial,
     verify_coclosed,
     verify_ricci_flat,
@@ -439,6 +442,14 @@ def test_non_iterable_vector_input_is_a_typed_error(call, error):
             id="potential-huge",
         ),
         pytest.param(lambda f, w: LieType(["A"], 2), InvalidRank, id="LieType-list"),
+        # a root-layer function or make_flag given something that is no LieType or RootDatum
+        pytest.param(lambda f, w: build_root_datum("A2"), InvalidRank, id="build_root_datum-str"),
+        *[
+            pytest.param(lambda f, w, call=call: call(None), InvalidRank, id=f"{call.__name__}-None")
+            for call in (build_root_datum, cartan_matrix, symmetrizer, positive_root_count)
+        ],
+        pytest.param(lambda f, w: make_flag(None, ()), InvalidParameter, id="make_flag-None"),
+        pytest.param(lambda f, w: make_flag("A2", ()), InvalidParameter, id="make_flag-str"),
         *[
             pytest.param(
                 lambda f, w, verify=verify, psi=psi: verify(replace(_gauduchon(f), psi=psi)),

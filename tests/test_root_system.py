@@ -11,6 +11,7 @@ from flagcy import (
     positive_root_count,
     symmetrizer,
 )
+from flagcy.root_system import _closure
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 7)]
@@ -212,3 +213,44 @@ def test_every_root_and_coroot_coordinate_is_a_digit_at_most_six():
         largest[family, rank] = max(coords)
     assert max(largest.values()) == largest["E", 8] == 6
 
+
+# every A-D rank from the family's minimum up to 16, and every eighth rank from 24 to the bound
+CLOSED_FORM_TYPES = [
+    (family, rank)
+    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    for rank in [*range(lo, 17), *range(24, 65, 8)]
+]
+
+
+def test_closed_form_matches_the_closure():
+    # A-D come from closed forms; the level-by-level closure, which still builds E, F and G,
+    # must give the same roots and coroots in the same order
+    for family, rank in CLOSED_FORM_TYPES:
+        lie_type = LieType(family, rank)
+        # uncached, so that the rank-64 data does not stay alive for the whole session
+        closed = build_root_datum.__wrapped__(lie_type).positive_roots
+        assert list(closed) == _closure(cartan_matrix(lie_type), symmetrizer(lie_type)), lie_type
+
+
+def test_root_sets_and_cartan_matrices_match_sympy():
+    # an oracle from outside the package: sympy's positive roots, in orthonormal
+    # coordinates, solved against its simple roots.  sympy has no C2, and its E6-E8 and G2
+    # roots do not lie in the lattice of its own simple roots, so those are not compared
+    from sympy import Matrix
+    from sympy.liealgebras.root_system import RootSystem
+
+    for family, ranks in (("A", range(2, 9)), ("B", range(2, 9)), ("C", range(3, 9)), ("D", range(4, 9))):
+        for rank in ranks:
+            lie_type = LieType(family, rank)
+            system = RootSystem(str(lie_type))
+            simple = system.simple_roots()
+            basis = Matrix([simple[k] for k in sorted(simple)]).T
+            expected = set()
+            for root in system.cartan_type.positive_roots().values():
+                coords, free = basis.gauss_jordan_solve(Matrix(root))
+                assert not free
+                expected.add(tuple(int(c) for c in coords))
+            assert {r.root_coords for r in build_root_datum(lie_type).positive_roots} == expected
+            assert system.cartan_matrix().tolist() == list(map(list, cartan_matrix(lie_type)))
+    for lie_type in (LieType("F", 4), LieType("G", 2)):
+        assert RootSystem(str(lie_type)).cartan_matrix().tolist() == list(map(list, cartan_matrix(lie_type)))
