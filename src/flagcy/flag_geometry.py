@@ -141,7 +141,7 @@ class InvariantClass:
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"coefficients must be rationals, got {self.coeffs!r}") from exc
         power = self.two_pi_power
-        if not isinstance(power, int):
+        if type(power) is not int:
             power = _integer(power, InvalidParameter, "power of 2*pi")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "two_pi_power", power if any(coeffs) else 0)

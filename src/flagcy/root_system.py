@@ -2,14 +2,12 @@
 
 Root and coroot coordinates are exact integers.  Types A-D come from closed
 forms (Bourbaki, Plates I-IV): every positive root is a tail of one of a few
-templates, and one sort puts them in order.  Types E, F and G come from the
-closure, which also checks the closed forms in the tests: roots are built one
-height level at a time, a root ``beta`` carries its Cartan row ``r``, its half
-square length and the down-lengths ``p`` of its simple root strings, and
-``beta + alpha_i`` is a root exactly when ``p_i > r_i``; it inherits all
-three by one addition each, ``p_i`` growing by one.  The coroot coordinates
-are what every higher layer consumes: in the fundamental-weight basis the
-pairing ``<w, beta_coroot>`` is the dot product of ``w`` with the coroot
+templates.  Types E, F and G come from the closure of the simple roots under
+the simple reflections that raise a root, which also checks the closed forms
+in the tests.  Both builders take every coroot from one rule, ``_coroot``,
+and list the roots by one sort.  The coroot coordinates are what every
+higher layer consumes: in the fundamental-weight basis the pairing
+``<w, beta_coroot>`` is the dot product of ``w`` with the coroot
 coordinates of ``beta``, so ``make_flag`` reads the integer pairing table of
 a flag straight off this datum.
 
@@ -28,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from math import gcd
-from operator import add, gt, mul
+from operator import mul
 
 from .errors import InvalidRank, _integer
 
@@ -173,40 +170,39 @@ class RootDatum:
         return self.lie_type.rank
 
 
-def _closure(C: tuple[tuple[int, ...], ...], d: tuple[int, ...]) -> list[PositiveRoot]:
-    """Enumerate all positive roots one height level at a time.
+def _coroot(beta: tuple[int, ...], d: tuple[int, ...]) -> tuple[int, ...]:
+    """The coroot ``2 beta / (beta, beta)`` of ``beta``, coordinates ``beta_j d_j / h``.
 
-    Only the current and the next level are kept, and each level is emitted in
-    decreasing lexicographic order.  Builds types E, F and G, and is the
-    tests' oracle for ``_closed_form``.
+    The half square length ``h`` is the gcd of the ``beta_j d_j``: a coroot is primitive.
+    """
+    scaled = tuple(map(mul, beta, d))
+    h = gcd(*scaled)
+    return tuple(x // h for x in scaled)
+
+
+def _closure(C: tuple[tuple[int, ...], ...], d: tuple[int, ...]) -> list[PositiveRoot]:
+    """The positive roots: the simple roots closed under the reflections that raise a root.
+
+    A root ``beta`` carries its Cartan row ``r_j = <beta, alpha_j_coroot>``, and each
+    ``i`` with ``r_i < 0`` gives the higher root ``s_i(beta) = beta - r_i alpha_i``,
+    whose row is ``r - r_i C[i]``; every positive root other than a simple one is such
+    a reflection of a lower one.  Sorted as ``_closed_form`` sorts.  Builds types E, F
+    and G, and is the tests' oracle for ``_closed_form``.
     """
     n = len(d)
-    indices = range(n)
-    level = {tuple(1 if j == i else 0 for j in indices): (C[i], d[i], [0] * n) for i in indices}
-    roots = []
-    while level:
-        grown: dict[tuple[int, ...], tuple[tuple[int, ...], int, list[int]]] = {}
-        for beta in sorted(level, reverse=True):
-            r, h, down = level[beta]
-            if h <= 0:
-                raise AssertionError(f"bad half square length {h} for {beta}")
-            # the coroot 2 beta / (beta, beta) has coordinates beta_j d_j / h
-            coroot = tuple(map(mul, beta, d))
-            if h != 1:
-                if any(x % h for x in coroot):
-                    raise AssertionError(f"coroot of {beta} is not integral")
-                coroot = tuple(x // h for x in coroot)
-            roots.append(PositiveRoot(beta, coroot))
-            # the alpha_i-string through beta reaches p_i down and p_i - r_i up
-            for i in compress(indices, map(gt, down, r)):
-                cand = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
-                entry = grown.get(cand)
-                if entry is None:
-                    # (beta + alpha_i)^2 / 2 = h + (beta, alpha_i) + d_i, (beta, alpha_i) = d_i r_i
-                    entry = grown[cand] = (tuple(map(add, r, C[i])), h + d[i] * (r[i] + 1), [0] * n)
-                entry[2][i] = down[i] + 1
-        level = grown
-    return roots
+    cartan_row = {tuple(int(j == i) for j in range(n)): C[i] for i in range(n)}
+    roots = list(cartan_row)
+    for beta in roots:  # the list grows as roots are found
+        r = cartan_row[beta]
+        for i, ri in enumerate(r):
+            if ri < 0:
+                up = beta[:i] + (beta[i] - ri,) + beta[i + 1 :]
+                if up not in cartan_row:
+                    cartan_row[up] = tuple(x - ri * c for x, c in zip(r, C[i]))
+                    roots.append(up)
+    rows = [(-sum(beta), beta, _coroot(beta, d)) for beta in roots]
+    rows.sort(reverse=True)  # by height, then decreasing root
+    return [PositiveRoot(beta, coroot) for _, beta, coroot in rows]
 
 
 def _closed_form(family: str, d: tuple[int, ...]) -> list[PositiveRoot]:
@@ -216,8 +212,7 @@ def _closed_form(family: str, d: tuple[int, ...]) -> list[PositiveRoot]:
     are ``e_{i+1} - e_{j+1}`` (``e_{i+1}`` in B at ``j = n``), those of the doubled
     templates ``e_{i+1} + e_{j+1}``, of C's ``(2,)*(n-1) + (1,)`` ``2 e_{i+1}`` and of
     D's ``(1,)*(n-2) + (0, 1)`` ``e_{i+1} + e_n``.  A template's tails share its half
-    square length ``h``, the gcd of ``T_j d_j`` (a coroot is primitive, like the simple
-    coroot it is Weyl-conjugate to), so a tail's coroot is that tail of ``T_j d_j / h``.
+    square length, so a tail's coroot is that tail of the template's ``_coroot``.
     """
     n = len(d)
     z = (0,) * n
@@ -233,9 +228,7 @@ def _closed_form(family: str, d: tuple[int, ...]) -> list[PositiveRoot]:
         runs += [((1,) * j + (2,) * (n - 2 - j) + (1, 1), j) for j in range(1, n - 1)]
     rows = []
     for t, stop in runs:
-        scaled = tuple(map(mul, t, d))
-        h = gcd(*scaled)
-        c = tuple(x // h for x in scaled)
+        c = _coroot(t, d)
         same = c == t  # as in A and D: each coroot tuple is its root tuple
         height = -sum(t)
         for i in range(stop):
@@ -246,15 +239,21 @@ def _closed_form(family: str, d: tuple[int, ...]) -> list[PositiveRoot]:
     return [PositiveRoot(beta, coroot) for _, beta, coroot in rows]
 
 
-@lru_cache(maxsize=None)
 def build_root_datum(lie_type: LieType) -> RootDatum:
     """The root datum of ``lie_type``, exact and cached per Lie type.
 
     Roots are listed by increasing height, within a level in decreasing
     lexicographic order, so the root supported on earlier simple roots comes
-    first.  Types A-D come from closed forms, E, F and G from the
-    level-by-level closure.
+    first.  Types A-D come from closed forms, E, F and G from the closure
+    under the raising reflections.  Anything that is no ``LieType`` is
+    InvalidRank, checked before the cache hashes it.
     """
+    _family_rank(lie_type)
+    return _root_datum(lie_type)
+
+
+@lru_cache(maxsize=None)
+def _root_datum(lie_type: LieType) -> RootDatum:
     C = cartan_matrix(lie_type)
     d = symmetrizer(lie_type)
     n = len(d)

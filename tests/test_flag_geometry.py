@@ -365,6 +365,7 @@ def test_non_rational_class_input_is_invalid_parameter():
     # an integral power of another numeric type is stored as an int
     assert InvariantClass(F(2), (F(1), F(0))) == InvariantClass(2, (F(1), F(0)))
     assert type(InvariantClass(2.0, (F(1), F(0))).two_pi_power) is int
+    assert type(InvariantClass(True, (F(1), F(2))).two_pi_power) is int
 
 
 def test_invariant_class_coefficients_are_exact_fractions():
@@ -444,6 +445,9 @@ def test_non_iterable_vector_input_is_a_typed_error(call, error):
         pytest.param(lambda f, w: LieType(["A"], 2), InvalidRank, id="LieType-list"),
         # a root-layer function or make_flag given something that is no LieType or RootDatum
         pytest.param(lambda f, w: build_root_datum("A2"), InvalidRank, id="build_root_datum-str"),
+        # an unhashable one too, before the cache hashes it
+        pytest.param(lambda f, w: build_root_datum([1]), InvalidRank, id="build_root_datum-list"),
+        pytest.param(lambda f, w: build_root_datum({}), InvalidRank, id="build_root_datum-dict"),
         *[
             pytest.param(lambda f, w, call=call: call(None), InvalidRank, id=f"{call.__name__}-None")
             for call in (build_root_datum, cartan_matrix, symmetrizer, positive_root_count)
@@ -646,7 +650,7 @@ def test_every_cache_is_a_module_level_function_with_cache_clear():
                 assert isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)
                 name = stmt.targets[0].id
             declared[f"{info.name}.{name}"] = getattr(module, name)
-    assert {"flag_geometry._ray", "root_system.build_root_datum", "cli._parser"} <= declared.keys()
+    assert {"flag_geometry._ray", "root_system._root_datum", "cli._parser"} <= declared.keys()
     # the per-ray cache has a fixed bound
     assert flag_geometry._ray.cache_info().maxsize is not None
     for cached in declared.values():

@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -11,7 +13,7 @@ from flagcy import (
     positive_root_count,
     symmetrizer,
 )
-from flagcy.root_system import _closure
+from flagcy.root_system import _closure, _root_datum
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 7)]
@@ -207,7 +209,7 @@ def test_every_root_and_coroot_coordinate_is_a_digit_at_most_six():
     largest = {}
     for family, rank in COORDINATE_TYPES:
         # uncached: the rank-64 data would otherwise stay alive for the whole session
-        datum = build_root_datum.__wrapped__(LieType(family, rank))
+        datum = _root_datum.__wrapped__(LieType(family, rank))
         coords = [c for b in datum.positive_roots for c in b.root_coords + b.coroot_coords]
         assert min(coords) >= 0
         largest[family, rank] = max(coords)
@@ -223,12 +225,12 @@ CLOSED_FORM_TYPES = [
 
 
 def test_closed_form_matches_the_closure():
-    # A-D come from closed forms; the level-by-level closure, which still builds E, F and G,
-    # must give the same roots and coroots in the same order
+    # A-D come from closed forms; the closure under the raising reflections, which builds
+    # E, F and G, must give the same roots and coroots in the same order
     for family, rank in CLOSED_FORM_TYPES:
         lie_type = LieType(family, rank)
         # uncached, so that the rank-64 data does not stay alive for the whole session
-        closed = build_root_datum.__wrapped__(lie_type).positive_roots
+        closed = _root_datum.__wrapped__(lie_type).positive_roots
         assert list(closed) == _closure(cartan_matrix(lie_type), symmetrizer(lie_type)), lie_type
 
 
@@ -254,3 +256,56 @@ def test_root_sets_and_cartan_matrices_match_sympy():
             assert system.cartan_matrix().tolist() == list(map(list, cartan_matrix(lie_type)))
     for lie_type in (LieType("F", 4), LieType("G", 2)):
         assert RootSystem(str(lie_type)).cartan_matrix().tolist() == list(map(list, cartan_matrix(lie_type)))
+
+
+# the exponents of the exceptional types (Bourbaki, Plates V-IX)
+EXCEPTIONAL_EXPONENTS = {
+    ("E", 6): (1, 4, 5, 7, 8, 11),
+    ("E", 7): (1, 5, 7, 9, 11, 13, 17),
+    ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),
+    ("F", 4): (1, 5, 7, 11),
+    ("G", 2): (1, 5),
+}
+
+
+def exponents(family, rank):
+    """The exponents of a simple type (Bourbaki, Plates I-IX)."""
+    if family == "A":
+        return tuple(range(1, rank + 1))
+    if family in "BC":
+        return tuple(range(1, 2 * rank, 2))
+    if family == "D":
+        return (*range(1, 2 * rank - 2, 2), rank - 1)
+    return EXCEPTIONAL_EXPONENTS[family, rank]
+
+
+HEIGHT_TYPES = ALL_TYPES + LARGE_TYPES + [(family, rank) for family in "ABCD" for rank in range(24, 65, 8)]
+
+
+def test_height_partition_is_dual_to_the_exponents():
+    # Kostant: the number of positive roots of height k is the number of exponents >= k
+    for family, rank in HEIGHT_TYPES:
+        # uncached, so that the rank-64 data does not stay alive for the whole session
+        heights = Counter(b.height for b in _root_datum.__wrapped__(LieType(family, rank)).positive_roots)
+        m = exponents(family, rank)
+        assert heights == Counter({k: sum(e >= k for e in m) for k in range(1, max(m) + 1)}), (family, rank)
+
+
+# the dimensions of the fundamental representations V(varpi_1), ..., V(varpi_n), Bourbaki numbering
+FUNDAMENTAL_DIMENSIONS = {
+    ("E", 6): (27, 78, 351, 2925, 351, 27),
+    ("E", 7): (133, 912, 8645, 365750, 27664, 1539, 56),
+    ("E", 8): (3875, 147250, 6696000, 6899079264, 146325270, 2450240, 30380, 248),
+    ("F", 4): (52, 1274, 273, 26),
+    ("G", 2): (7, 14),
+}
+
+
+def test_weyl_dimension_formula_gives_the_fundamental_representations():
+    # dim V(varpi_a) = prod over the positive roots of <varpi_a + rho, beta_coroot> / <rho, beta_coroot>,
+    # read off the full flag's pairing table P[beta][a] and Weyl row w[beta]
+    for (family, rank), dims in FUNDAMENTAL_DIMENSIONS.items():
+        flag = make_flag(build_root_datum(LieType(family, rank)))
+        for a, dim in enumerate(dims):
+            weyl = prod(Fraction(p[a] + w, w) for p, w in zip(flag.pairing_table, flag.weyl_row))
+            assert weyl == dim, (family, rank, a + 1)
