@@ -46,6 +46,7 @@ from .flag_geometry import (
     _cleared,
     _contraction,
     _reference_weights,
+    _trusted,
     fano_index,
 )
 from .picard_lattice import LineBundleClass
@@ -116,7 +117,7 @@ def _curvature_classes(
     for j, bundle in enumerate(bundles, start=1):
         if not isinstance(bundle, LineBundleClass):
             raise InvalidParameter(f"bundle {j} must be a LineBundleClass, got {bundle!r}")
-        c = InvariantClass(1, bundle.coeffs)
+        c = _trusted(1, bundle.coeffs)
         if nontrivial and c.is_zero:
             raise TrivialBundle(j)
         _check_class(flag, c)
@@ -166,9 +167,9 @@ def build_t_gauduchon(
     scale = _scale(flag, k, t, index) if t < 1 else Fraction(1)
 
     ell = flag.anticanonical
-    omega0 = InvariantClass(1, tuple(scale * l for l in ell))
+    omega0 = _trusted(1, [scale * l for l in ell])
     curvatures = _curvature_classes(flag, _reference_weights(flag, omega0), bundles, nontrivial=True)
-    psi = (InvariantClass(1, tuple(k * l // index for l in ell)),) + curvatures
+    psi = (_trusted(1, [k * l // index for l in ell]),) + curvatures
     return GauduchonDatum(flag, t, scale, omega0, psi)
 
 
@@ -195,7 +196,7 @@ def verify_ricci_flat(datum: GauduchonDatum) -> InvariantClass:
                 raise DimensionMismatch("a class of nonzero contraction is not at 2*pi power 1")
             s = factor * value
             residual = [r + s * c for r, c in zip(residual, psi_j.coeffs)]
-    return InvariantClass(1, residual)
+    return _trusted(1, residual)
 
 
 def verify_c1_trivial(datum: GauduchonDatum) -> Fraction:

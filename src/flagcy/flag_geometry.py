@@ -13,21 +13,27 @@ table once per flag, with the Weyl row ``<rho, beta_coroot>`` (the coroot
 heights) and the anticanonical coefficients.  ``_cleared`` is the one place
 a class is checked and cleared, and the integer vector is what is paired.
 
-A Kahler reference ``omega`` is checked on every call, and reduced to its
-volume, integer contraction weights ``W[b] = lcm(p) / p[b]`` of its pairings
-``p`` with one rational scale, and column sums ``S[i] = sum_b P[b][i] * W[b]``.
-``W`` and ``S`` depend only on the ray of ``omega``, and the volume and scale
-on its multiplier along the ray, so the table is paired once per primitive
-integer ray, in a bounded cache keyed by the integer table and the ray.  A
-class ``x / d`` (integer ``x``) contracts to ``scale * (x . S) / d``, so a bundle
-``c`` is primitive iff ``c . S = 0``; ``(n-1)! * vol * scale * S`` is the degree vector.
+A Kahler reference ``omega`` is reduced to its volume, integer contraction
+weights ``W[b] = lcm(p) / p[b]`` of its pairings ``p`` with one rational scale,
+and column sums ``S[i] = sum_b P[b][i] * W[b]``.  ``W`` and ``S`` depend only on
+the ray of ``omega``, and the volume and scale on its multiplier along the ray,
+so the table is paired once per primitive integer ray, in a bounded cache keyed
+by the integer table and the ray.  A class ``x / d`` (integer ``x``) contracts to
+``scale * (x . S) / d``, so a bundle ``c`` is primitive iff ``c . S = 0``;
+``(n-1)! * vol * scale * S`` is the degree vector.
+
+Each class memoizes, in its own ``__dict__``, its integer form ``(x, d)`` and its last
+reference with the flag, reused only for that same flag object (``is``; nothing is hashed).
+Every call still checks the class's type and length, and a class that is not Kahler
+stores nothing, so it raises on every call.  Classes built from the library's own values
+skip the outside-input intake through ``_trusted``; ``InvariantClass(...)`` keeps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 from math import factorial, gcd, lcm, prod
 from operator import attrgetter, itemgetter, mul
@@ -146,6 +152,17 @@ class InvariantClass:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "two_pi_power", power if any(coeffs) else 0)
 
+    def __getstate__(self):
+        # pickle and copy carry the fields alone, never the memos below
+        return {"two_pi_power": self.two_pi_power, "coeffs": self.coeffs}
+
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """Integer ``x`` over the common denominator ``d``, formed on first use."""
+        dens = [v.denominator for v in self.coeffs]
+        x, d = tuple(v.numerator for v in self.coeffs), lcm(*dens)
+        return (x if d == 1 else tuple(v * (d // e) for v, e in zip(x, dens))), d
+
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -158,17 +175,27 @@ class InvariantClass:
         if not self.is_zero and not other.is_zero and self.two_pi_power != other.two_pi_power:
             raise DimensionMismatch("classes carry different powers of 2*pi")
         power = other.two_pi_power if self.is_zero else self.two_pi_power
-        return InvariantClass(power, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _trusted(power, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def scaled(self, s) -> "InvariantClass":
         try:
             s = _fraction(s)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InvalidParameter(f"scale factor must be a rational, got {s!r}") from exc
-        return InvariantClass(self.two_pi_power, tuple(s * c for c in self.coeffs))
+        return _trusted(self.two_pi_power, tuple(s * c for c in self.coeffs))
 
     def times_two_pi(self) -> "InvariantClass":
-        return InvariantClass(self.two_pi_power + 1, self.coeffs)
+        return _trusted(self.two_pi_power + 1, self.coeffs)
+
+
+def _trusted(power: int, coeffs: Iterable) -> InvariantClass:
+    """``InvariantClass(power, coeffs)`` without the intake: for values the library made."""
+    c = object.__new__(InvariantClass)
+    # Fraction(v, 1) takes rationals only, so no text or Decimal is ever parsed unbounded here
+    coeffs = tuple(v if type(v) is Fraction else Fraction(v, 1) for v in coeffs)
+    object.__setattr__(c, "coeffs", coeffs)
+    object.__setattr__(c, "two_pi_power", power if any(coeffs) else 0)
+    return c
 
 
 def class_from_coeffs(flag: ParabolicFlag, coeffs: Sequence) -> InvariantClass:
@@ -191,12 +218,12 @@ def _check_class(flag: ParabolicFlag, c: InvariantClass) -> None:
 
 def anticanonical_class(flag: ParabolicFlag) -> InvariantClass:
     """The integral anticanonical Kahler class (2*pi power 0)."""
-    return InvariantClass(0, flag.anticanonical)
+    return _trusted(0, flag.anticanonical)
 
 
 def ricci_class(flag: ParabolicFlag) -> InvariantClass:
     """The Ricci form of any invariant Kahler metric: 2*pi times the anticanonical class."""
-    return InvariantClass(1, flag.anticanonical)
+    return _trusted(1, flag.anticanonical)
 
 
 def fano_index(flag: ParabolicFlag) -> int:
@@ -211,12 +238,10 @@ def is_kahler(flag: ParabolicFlag, c: InvariantClass) -> bool:
     return all(v.numerator > 0 for v in c.coeffs)
 
 
-def _cleared(flag: ParabolicFlag, c: InvariantClass) -> tuple[list[int], int]:
-    """The one place a class is checked and cleared: integer ``x`` over the common denominator ``d``."""
+def _cleared(flag: ParabolicFlag, c: InvariantClass) -> tuple[tuple[int, ...], int]:
+    """Check ``c`` against the flag on every call; return its memoized integer ``x`` over ``d``."""
     _check_class(flag, c)
-    dens = [v.denominator for v in c.coeffs]
-    x, d = [v.numerator for v in c.coeffs], lcm(*dens)
-    return (x if d == 1 else [v * (d // e) for v, e in zip(x, dens)]), d
+    return c._integer_form
 
 
 # a Kahler reference: see _reference_weights
@@ -242,7 +267,7 @@ def _ray(table: tuple[tuple[int, ...], ...], ray: tuple[int, ...]) -> tuple:
 
 
 def _reference_weights(flag: ParabolicFlag, omega: InvariantClass) -> _Reference:
-    """Check a Kahler reference and read its ray's pairing from the cache.
+    """Check a Kahler reference and read its pairing from its memo or its ray's cache.
 
     Returns the volume's rational part, the integer contraction weights
     ``W[b] = lcm(p) / p[b]`` of the pairings ``p`` of ``omega``'s cleared
@@ -251,16 +276,26 @@ def _reference_weights(flag: ParabolicFlag, omega: InvariantClass) -> _Reference
     ``(n-1)! * vol * scale * S`` is the degree vector.  With ``omega = m * r / d``
     for the primitive integer ray ``r``, the pairings are ``m`` times those of
     ``r``, so only ``vol`` and ``scale`` depend on ``m`` and ``d``.
+
+    ``omega`` keeps ``(flag, reference)`` in its ``__dict__`` and reuses it only for
+    the same flag object, so a build, its verifier and the Lee form pair ``omega``
+    once.  Its type and length are checked on every call; a class that is not Kahler
+    raises before anything is stored, so it raises on every call.
     """
-    return _cleared_reference(flag, *_cleared(flag, omega))
+    x, d = _cleared(flag, omega)
+    memo = omega.__dict__.get("_reference")
+    if memo is None or memo[0] is not flag:
+        memo = omega.__dict__["_reference"] = flag, _cleared_reference(flag, x, d)
+    return memo[1]
 
 
-def _cleared_reference(flag: ParabolicFlag, x: list[int], d: int) -> _Reference:
+def _cleared_reference(flag: ParabolicFlag, x: tuple[int, ...], d: int) -> _Reference:
     """``_reference_weights`` of the checked class ``x / d``, given its integer numerators."""
     if min(x) <= 0:
         raise NotKahler("reference class must have strictly positive coefficients")
     m = gcd(*x)
-    common, weights, sums, prod_p = _ray(flag.pairing_table, tuple(v // m for v in x))
+    ray = x if m == 1 else tuple(v // m for v in x)
+    common, weights, sums, prod_p = _ray(flag.pairing_table, ray)
     n = flag.dim_c
     vol = Fraction(m**n * prod_p, d**n * prod(flag.weyl_row))
     return _Reference(vol, weights, Fraction(d, m * common), sums)

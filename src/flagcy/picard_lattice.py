@@ -35,7 +35,7 @@ from .errors import (
     _integer,
     _items,
 )
-from .flag_geometry import InvariantClass, ParabolicFlag, _cleared, _cleared_reference
+from .flag_geometry import InvariantClass, ParabolicFlag, _cleared, _cleared_reference, _trusted
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class LineBundleClass:
         object.__setattr__(self, "coeffs", coeffs)
 
     def to_class(self) -> InvariantClass:
-        return InvariantClass(0, self.coeffs)
+        return _trusted(0, self.coeffs)
 
     def scaled(self, m: int) -> "LineBundleClass":
         return LineBundleClass(tuple(m * c for c in self.coeffs))

@@ -404,10 +404,10 @@ def test_class_one_coefficient_too_long_is_a_dimension_mismatch(call):
 
 
 def test_each_reference_ray_is_paired_once(monkeypatch):
-    # a builder, its verifier and the Lee form share one reference ray, so the
-    # chain pairs it with the table once (one _ray miss) however many bundles
-    # there are; the curvature classes contract through its column sums and
-    # never reach the table
+    # a builder, its verifier and the Lee form share one reference class, whose
+    # memo holds its pairing, so the chain looks its ray up once (one _ray miss)
+    # however many bundles there are; the curvature classes contract through its
+    # column sums and never reach the table
     rays = []
     ray_cache = flag_geometry._ray
 
@@ -439,7 +439,7 @@ def test_each_reference_ray_is_paired_once(monkeypatch):
         ray_cache.cache_clear()
         rays.clear()
         chain()
-        assert rays == [ray] * 3
+        assert rays == [ray]
         assert ray_cache.cache_info().misses == 1
     # nor does the module import the one routine that pairs a class with the
     # table row by row

@@ -117,6 +117,35 @@ def test_primitive_basis_pairs_every_generator_with_one_weight_vector(capsys, mo
     assert len(built) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauduchon", "A", "3", "--k", "1", "--t", "-1", "--bundle=-1,0,1"],
+        ["balanced", "A", "3", "--omega0=1,2,3", "--bundle=-12,15,0", "--bundle=7,0,-15"],
+    ],
+)
+def test_identical_requests_each_pair_the_table(capsys, monkeypatch, argv):
+    # a class keeps its reference only on itself, and each request builds its
+    # flag and classes afresh, so a repeated request pairs the table again; in
+    # one request the builder, the verifier and the Lee form share one pairing
+    built = []
+    original = flag_geometry._cleared_reference
+
+    def counted(flag, x, d):
+        built.append(x)
+        return original(flag, x, d)
+
+    monkeypatch.setattr(flag_geometry, "_cleared_reference", counted)
+    misses = []
+    for _ in range(2):
+        flag_geometry._ray.cache_clear()
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        misses.append(flag_geometry._ray.cache_info().misses)
+    assert misses == [1, 1]
+    assert len(built) == 2 and built[0] == built[1]
+
+
 def test_gauduchon_a2(capsys):
     code, report = run_json(
         capsys, "gauduchon", "A", "2", "--k", "1", "--t=-1", "--bundle=-1,1"

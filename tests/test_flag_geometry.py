@@ -1,9 +1,12 @@
 import ast
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 import random
-from dataclasses import replace
+from collections import Counter
+from dataclasses import asdict, fields, replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -617,20 +620,185 @@ def test_reference_along_a_ray_matches_fraction_oracle():
             assert endomorphism_eigenvalues(flag, scaled, psi) == tuple(e / m for e in eig)
 
 
+def _unmemoized_reference(flag, c):
+    """The reference of ``c`` straight from the table, past the class's reference memo."""
+    return flag_geometry._cleared_reference(flag, *flag_geometry._cleared(flag, c))
+
+
+def test_pairing_memo_leaves_the_class_as_it_was():
+    # pairing stores the integer form and the reference on the class itself;
+    # the paired class compares, hashes, prints, converts and pickles as before
+    flag = flag_of("A", 3)
+    omega = class_from_coeffs(flag, [F(1, 2), 3, F(5, 3)])
+    unpaired = (hash(omega), repr(omega), asdict(omega), pickle.dumps(omega))
+    assert volume(flag, omega) == volume(flag, class_from_coeffs(flag, [F(1, 2), 3, F(5, 3)]))
+    assert "_reference" in vars(omega)
+    assert (hash(omega), repr(omega), asdict(omega), pickle.dumps(omega)) == unpaired
+    assert omega == class_from_coeffs(flag, [F(1, 2), 3, F(5, 3)])
+    for twin in (pickle.loads(pickle.dumps(omega)), copy.copy(omega), copy.deepcopy(omega)):
+        assert twin == omega and hash(twin) == hash(omega)
+        assert set(vars(twin)) == {f.name for f in fields(InvariantClass)}
+        assert flag_geometry._reference_weights(flag, twin) == _unmemoized_reference(flag, omega)
+
+
+def test_reference_memo_is_kept_for_the_same_flag_object_only():
+    omega = InvariantClass(0, (F(2), F(3)))
+    # two flags of equal Picard rank: each call gets its own flag's reference
+    a3, b3 = flag_of("A", 3, [2]), flag_of("B", 3, [2])
+    assert a3.picard_rank == b3.picard_rank
+    for flag in (a3, b3, a3, b3, a3):
+        assert flag_geometry._reference_weights(flag, omega) == _unmemoized_reference(flag, omega)
+    # the same table under another Weyl row is another flag: a fresh volume
+    bent = replace(a3, weyl_row=tuple(2 * h for h in a3.weyl_row))
+    assert bent.pairing_table == a3.pairing_table
+    reference = flag_geometry._reference_weights(bent, omega)
+    assert reference == _unmemoized_reference(bent, omega)
+    assert reference.vol == _unmemoized_reference(a3, omega).vol / 2**a3.dim_c
+    # a paired class still has its type and length checked against each flag
+    with pytest.raises(DimensionMismatch):
+        volume(flag_of("A", 3), omega)
+
+
+def test_a_class_that_is_not_kahler_raises_on_every_call():
+    flag = flag_of("A", 3)
+    omega = InvariantClass(0, (F(1), F(0), F(2)))
+    bundles = [LineBundleClass((1, -1, 0)), LineBundleClass((-1, 1, 0))]
+    for _ in range(2):
+        for call in (volume, lambda f, w: build_balanced(f, w, bundles)):
+            with pytest.raises(NotKahler):
+                call(flag, omega)
+    assert "_reference" not in vars(omega)
+
+
+def test_trusted_classes_equal_the_public_constructor_on_the_grid():
+    # the private constructor skips the intake, and must still give the class
+    # the public one gives: Fraction coefficients, an int power, zero at power 0
+    rng = random.Random(2828)
+    for flag in grid_flags():
+        rho = flag.picard_rank
+        rows = [flag.anticanonical, [0] * rho]
+        rows += [[rng.choice((rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 7))))
+                  for _ in range(rho)] for _ in range(3)]
+        for coeffs in rows:
+            for power in (-1, 0, 1, 2):
+                trusted = flag_geometry._trusted(power, coeffs)
+                public = InvariantClass(power, tuple(coeffs))
+                assert trusted == public and hash(trusted) == hash(public)
+                assert type(trusted.two_pi_power) is int
+                assert all(type(c) is Fraction for c in trusted.coeffs)
+        # and the library's own classes are those the public constructor gives
+        theta = InvariantClass(0, flag.anticanonical)
+        assert anticanonical_class(flag) == theta
+        assert ricci_class(flag) == InvariantClass(1, flag.anticanonical)
+        assert theta + theta == theta.scaled(2) == InvariantClass(0, [2 * c for c in theta.coeffs])
+        assert theta.times_two_pi() == ricci_class(flag)
+        bundle = LineBundleClass([rng.randint(-3, 3) for _ in range(rho)])
+        assert bundle.to_class() == InvariantClass(0, bundle.coeffs)
+        for c in (anticanonical_class(flag), theta + theta, theta.scaled(F(1, 3)), bundle.to_class()):
+            assert all(type(v) is Fraction for v in c.coeffs)
+    # it parses nothing: text or a Decimal, say from a hand-built flag, is refused unexpanded
+    for bad in ("1e5000", Decimal("1e5000"), 1.5):
+        with pytest.raises(TypeError):
+            flag_geometry._trusted(0, [bad, 1])
+
+
+def test_trusted_is_called_only_where_the_library_made_the_values():
+    # _trusted skips every input check, so it may only see values the library
+    # made: no outside value reaches it from cli or from a public constructor
+    allowed = Counter({
+        "flag_geometry.InvariantClass.__add__": 1,
+        "flag_geometry.InvariantClass.scaled": 1,
+        "flag_geometry.InvariantClass.times_two_pi": 1,
+        "flag_geometry.anticanonical_class": 1,
+        "flag_geometry.ricci_class": 1,
+        "bundle_constructor._curvature_classes": 1,
+        "bundle_constructor.build_t_gauduchon": 2,
+        "bundle_constructor.verify_ricci_flat": 1,
+        "picard_lattice.LineBundleClass.to_class": 1,
+    })
+    calls, names = Counter(), Counter()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "_trusted":
+                calls[inner] += 1
+            if isinstance(child, ast.Name) and child.id == "_trusted":
+                names[module] += 1
+            visit(child, module, inner)
+
+    for info in pkgutil.iter_modules(flagcy.__path__):
+        visit(ast.parse(inspect.getsource(importlib.import_module(f"flagcy.{info.name}"))), info.name, info.name)
+    assert calls == allowed
+    # every other mention of the name is an import: no module passes it on
+    assert sum(names.values()) == sum(allowed.values())
+    assert not hasattr(flagcy, "_trusted")
+    assert "_trusted" not in vars(importlib.import_module("flagcy.cli"))
+
+
+def _object_memos(tree, module, cached_property):
+    """Each memo a module keeps on an object, by name; an unnamed one fails."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    dataclass_fields = {
+        stmt.target.id
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for stmt in node.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+    def key(node):
+        # the constant that node (an object's __dict__ or vars()) is keyed by
+        up = parents[node]
+        if isinstance(up, ast.Subscript) and up.value is node:
+            assert isinstance(up.slice, ast.Constant), ast.unparse(up)
+            return up.slice.value
+        assert isinstance(up, ast.Attribute) and up.attr in ("get", "setdefault"), ast.unparse(up)
+        call = parents[up]
+        assert isinstance(call.args[0], ast.Constant), ast.unparse(call)
+        return call.args[0].value
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == cached_property or (
+            isinstance(node, ast.Attribute) and node.attr == "cached_property"
+        ):
+            method, owner = parents[node], parents[parents[node]]
+            assert isinstance(method, ast.FunctionDef) and node in method.decorator_list
+            assert isinstance(owner, ast.ClassDef), method.name
+            found.add(f"{module}.{owner.name}.{method.name}")
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.add(f"{module}.__dict__[{key(node)!r}]")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars":
+            up = parents[node]  # reading the whole of vars() keeps nothing
+            if isinstance(up, ast.Subscript) or isinstance(up, ast.Attribute) and up.attr not in (
+                "items", "keys", "values"
+            ):
+                found.add(f"{module}.__dict__[{key(node)!r}]")
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+            name = node.args[1]
+            assert isinstance(name, ast.Constant) and name.value in dataclass_fields, ast.unparse(node)
+    return found
+
+
 def test_every_cache_is_a_module_level_function_with_cache_clear():
     # a cold benchmark pass clears every module attribute of flagcy that has
-    # cache_clear; a cache on a method or in a closure would stay warm
-    declared = {}
+    # cache_clear; a cache on a method or in a closure would stay warm.  The
+    # only other memos are the two that InvariantClass keeps on itself, found
+    # by name: a cached_property, or a constant key into an object's __dict__
+    # or vars(); object.__setattr__ may set dataclass fields only
+    declared, memos = {}, set()
     for info in pkgutil.iter_modules(flagcy.__path__):
         module = importlib.import_module(f"flagcy.{info.name}")
         tree = ast.parse(inspect.getsource(module))
-        aliases = {
-            a.asname or a.name
+        functools_names = {
+            a.name: a.asname or a.name
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module == "functools"
             for a in node.names
-            if a.name in ("cache", "lru_cache")
         }
+        aliases = {functools_names[n] for n in ("cache", "lru_cache") if n in functools_names}
+        memos |= _object_memos(tree, info.name, functools_names.get("cached_property"))
 
         def uses(node):
             return sum(
@@ -651,6 +819,12 @@ def test_every_cache_is_a_module_level_function_with_cache_clear():
                 name = stmt.targets[0].id
             declared[f"{info.name}.{name}"] = getattr(module, name)
     assert {"flag_geometry._ray", "root_system._root_datum", "cli._parser"} <= declared.keys()
+    assert memos == {"flag_geometry.InvariantClass._integer_form", "flag_geometry.__dict__['_reference']"}
+    # and both live on an InvariantClass once it is paired
+    flag = flag_of("A", 2)
+    omega = InvariantClass(0, (F(1), F(2)))
+    volume(flag, omega)
+    assert set(vars(omega)) - {f.name for f in fields(InvariantClass)} == {"_integer_form", "_reference"}
     # the per-ray cache has a fixed bound
     assert flag_geometry._ray.cache_info().maxsize is not None
     for cached in declared.values():
