@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 parse error, 2 mathematical precondition violated (including a failed
 numeric tolerance check), 3 unsupported feature (including an exact result beyond the
 interpreter's digit limit).  The parser is the one registry of commands and options: each
-subcommand carries its handler, ``main`` builds the flag once and hands it over, and a report
-echoes the parsed inputs in the parser's order.  ``_parse`` reads every numeral, the argparse
-types' too, so a bad one reads ``flagcy: cannot parse <what> '<text>': <reason>``; a rational
-goes through ``errors._fraction``, which bounds its decimal exponent.
+subcommand carries its handler, ``main`` hands it the request's flag, which ``_flag`` builds
+once per process for each family, rank and parabolic set, and a report echoes the parsed
+inputs in the parser's order.  ``_parse`` reads every numeral, the argparse types' too, so a
+bad one reads ``flagcy: cannot parse <what> '<text>': <reason>``; a rational goes through
+``errors._fraction``, which bounds its decimal exponent.
 Handlers return library values and only the emitters render them: an exact ``Fraction`` as
 its fraction string, never with a decimal point, and numeric-lab floats as plain floats.
 JSON output passes pre-rendered fragments through verbatim: ``describe`` renders its root
@@ -21,7 +22,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from json.encoder import encode_basestring_ascii as _s
 from math import inf, isfinite
 from typing import Sequence
@@ -357,14 +358,25 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(build_parser)  # parse_args keeps no state, so one parser serves all calls
 
 
+@lru_cache(maxsize=64)
+def _flag(lie_type: LieType, parabolic: tuple[int, ...]) -> ParabolicFlag:
+    """The flag of a request, built once per process for each key; an error is never cached.
+
+    Only repeated ``main`` calls in one process hit it; a console-script run serves one
+    request.  The flag carries the numeric lab's stencil memo, so clearing this cache
+    drops that memo too.
+    """
+    return make_flag(build_root_datum(lie_type), parabolic)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         report = {"command": args.command, "inputs": _inputs_echo(args)}
-        datum = build_root_datum(LieType(args.family, args.rank))
+        lie_type = LieType(args.family, args.rank)
         parabolic = args.parabolic.strip()
-        flag = make_flag(datum, _parse_csv(parabolic, int, "parabolic set") if parabolic else ())
-        results = args.handler(flag, args)
+        indices = _parse_csv(parabolic, int, "parabolic set") if parabolic else ()
+        results = args.handler(_flag(lie_type, indices), args)
         text = _render({**report, "results": results, "status": "ok"}, args.format)
     except _CliParseError as exc:
         print(f"flagcy: {exc}", file=sys.stderr)

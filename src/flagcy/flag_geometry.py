@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import factorial, gcd, lcm, prod
 from operator import attrgetter, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence
@@ -68,6 +68,12 @@ class ParabolicFlag:
     ``weyl_row[b]`` is ``<rho, beta_coroot>``, the height of the coroot; and
     ``anticanonical`` holds the (positive) coefficients of the anticanonical
     class over the Picard generators.
+
+    A flag built here, or by ``dataclasses.replace``, must hold a ``RootDatum``, a
+    tuple of positive roots, and int tuples of matching lengths: positive indices,
+    Weyl row and anticanonical coefficients, and nonnegative table rows with a
+    positive entry each; anything else is InvalidParameter.  The numeric lab keeps its per-step
+    Hessians in the flag's ``__dict__``; pickle and copy carry the fields alone.
     """
 
     datum: RootDatum
@@ -77,6 +83,23 @@ class ParabolicFlag:
     pairing_table: tuple[tuple[int, ...], ...]
     weyl_row: tuple[int, ...]
     anticanonical: tuple[int, ...]
+
+    def __post_init__(self):
+        phi, complement, table = self.phi_complement, self.complement, self.pairing_table
+        rho = len(complement) if type(complement) is tuple else -1
+        if not (isinstance(self.datum, RootDatum) and _ints(complement, rho, 1)
+                and type(phi) is tuple and all(isinstance(b, PositiveRoot) for b in phi)
+                and _ints(self.weyl_row, len(phi), 1) and _ints(self.anticanonical, rho, 1)
+                and type(table) is tuple and len(table) == len(phi)
+                and {*map(type, table)} <= {tuple} and {*map(len, table)} <= {rho}
+                and _ints(tuple(chain.from_iterable(table)), len(phi) * rho, 0)
+                and all(map(any, table))):
+            raise InvalidParameter(
+                "a flag needs a RootDatum, a tuple of positive roots and int tuples of matching lengths")
+
+    def __getstate__(self):
+        # pickle and copy carry the fields alone, never the lab's memo
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
     @property
     def rank(self) -> int:
@@ -89,6 +112,11 @@ class ParabolicFlag:
     @property
     def picard_rank(self) -> int:
         return len(self.complement)
+
+
+def _ints(row, size: int, low: int) -> bool:
+    """Whether ``row`` is a tuple of ``size`` ints, each at least ``low``."""
+    return type(row) is tuple and len(row) == size and {*map(type, row)} <= {int} and min(row, default=low) >= low
 
 
 def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:

@@ -126,8 +126,9 @@ def test_primitive_basis_pairs_every_generator_with_one_weight_vector(capsys, mo
 )
 def test_identical_requests_each_pair_the_table(capsys, monkeypatch, argv):
     # a class keeps its reference only on itself, and each request builds its
-    # flag and classes afresh, so a repeated request pairs the table again; in
-    # one request the builder, the verifier and the Lee form share one pairing
+    # classes afresh (its flag comes from cli._flag), so a repeated request pairs
+    # the table again; in one request the builder, the verifier and the Lee form
+    # share one pairing
     built = []
     original = flag_geometry._cleared_reference
 
@@ -305,6 +306,51 @@ def test_repeated_parabolic_index_exits_2(capsys):
     assert code == 2
     assert report["status"] == "error"
     assert report["error"]["type"] == "IndexOutOfRange"
+
+
+@pytest.mark.parametrize("argv", [
+    ["describe", "A", "3", "--format", "json"],
+    ["verify-numeric", "A", "3", "--parabolic= 2", "--psi=1,-1", "--format", "json"],
+])
+def test_identical_requests_share_one_flag(capsys, monkeypatch, argv):
+    # the second request finds its flag in cli._flag: the same object, nothing rebuilt
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return flag_geometry.make_flag(*args)
+
+    monkeypatch.setattr(cli, "make_flag", counted)
+    cli._flag.cache_clear()
+    outputs = [run(capsys, *argv) for _ in range(2)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert len(built) == 1
+    info = cli._flag.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("parabolic, message", [
+    ("0", "simple-root index 0 outside 1..3"),
+    ("1,1", "parabolic set [1, 1] repeats a simple-root index"),
+    ("1,2,3", "parabolic set must be a proper subset of the simple roots"),
+])
+def test_flag_errors_exit_2_on_every_repeat(capsys, parabolic, message):
+    # an error is never cached, so every repeat raises it afresh
+    cli._flag.cache_clear()
+    for _ in range(3):
+        code, report = run_json(capsys, "describe", "A", "3", f"--parabolic={parabolic}")
+        assert code == 2
+        assert report["error"] == {"type": "IndexOutOfRange", "message": message}
+    assert cli._flag.cache_info().currsize == 0
+
+
+def test_a_bad_rank_is_reported_before_a_bad_parabolic_set(capsys):
+    # the rank is checked first, as when every request built its own flag
+    for _ in range(2):
+        code, report = run_json(capsys, "describe", "A", "0", "--parabolic=x")
+        assert code == 2
+        assert report["error"]["type"] == "InvalidRank"
+    assert main(["describe", "A", "3", "--parabolic=x"]) == 1
 
 
 def test_parse_errors_exit_1(capsys):

@@ -12,9 +12,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd, lcm, prod
 
+import numpy as np
 import pytest
 
 import flagcy
+import flagcy.cli as cli
 import flagcy.flag_geometry as flag_geometry
 from flagcy import (
     DimensionMismatch,
@@ -25,6 +27,7 @@ from flagcy import (
     LieType,
     LineBundleClass,
     NotKahler,
+    ParabolicFlag,
     anticanonical_class,
     build_balanced,
     build_root_datum,
@@ -39,6 +42,7 @@ from flagcy import (
     lee_form_coefficients,
     lefschetz_contraction,
     make_flag,
+    numeric_form_at_origin,
     positive_root_count,
     primitive_basis,
     ricci_class,
@@ -541,6 +545,42 @@ def test_non_iterable_vector_input_is_a_typed_error(call, error):
             InvalidParameter,
             id="verify_ricci_flat-t-1e4301",
         ),
+        # a flag built or replaced by hand: its fields are checked once, at construction,
+        # so no routine meets text, a list or a row of the wrong length
+        *[
+            pytest.param(
+                lambda f, w, use=use, field=field, value=value: use(replace(f, **{field: value})),
+                InvalidParameter,
+                id=f"{use.__name__}-{field}-{value!r}",
+            )
+            for use, field, value in [
+                (anticanonical_class, "anticanonical", ("1e999999999", 1)),
+                (fano_index, "anticanonical", ("1e999999999", 1)),
+                (fano_index, "anticanonical", (2,)),
+                (fano_index, "anticanonical", (2, 0)),
+                (fano_index, "anticanonical", [2, 2]),
+                (fano_index, "anticanonical", (2.0, 2)),
+                (fano_index, "anticanonical", (True, 2)),
+                (anticanonical_class, "complement", (1,)),
+                (anticanonical_class, "complement", (0, 2)),
+                (anticanonical_class, "complement", None),
+                (anticanonical_class, "datum", None),
+                (anticanonical_class, "phi_complement", (None, None, None)),
+                (anticanonical_class, "phi_complement", None),
+                (anticanonical_class, "weyl_row", ("1", "1", "2")),
+                (anticanonical_class, "weyl_row", (1, 1)),
+                (anticanonical_class, "weyl_row", (1, 0, 2)),
+                (anticanonical_class, "pairing_table", ("10", "01", "11")),
+                (anticanonical_class, "pairing_table", ((1, 0), (0, 1))),
+                (anticanonical_class, "pairing_table", ((1, 0), (0, 1), (1,))),
+                (anticanonical_class, "pairing_table", ((1, 0), (0, 1, 1), (1,))),
+                (anticanonical_class, "pairing_table", ([1, 0], (0, 1), (1, 1))),
+                (anticanonical_class, "pairing_table", ((1, 0), (0, 1), (0, 0))),
+                (anticanonical_class, "pairing_table", ((1, 0), (0, 1), (2, -1))),
+                (anticanonical_class, "pairing_table", None),
+            ]
+        ],
+        pytest.param(lambda f, w: ParabolicFlag(*range(7)), InvalidParameter, id="ParabolicFlag-ints"),
     ],
 )
 def test_wrong_object_input_is_a_typed_error(call, error):
@@ -639,6 +679,29 @@ def test_pairing_memo_leaves_the_class_as_it_was():
         assert twin == omega and hash(twin) == hash(omega)
         assert set(vars(twin)) == {f.name for f in fields(InvariantClass)}
         assert flag_geometry._reference_weights(flag, twin) == _unmemoized_reference(flag, omega)
+
+
+def test_public_flag_constructor_admits_every_flag_make_flag_builds():
+    # make_flag builds through the checked constructor, so the check must admit every real flag
+    for flag in [*grid_flags(), *(flag_of(f, r) for f, r in [("A", 24), ("E", 8), ("F", 4), ("G", 2)])]:
+        rebuilt = ParabolicFlag(*(getattr(flag, f.name) for f in fields(ParabolicFlag)))
+        assert rebuilt == flag and hash(rebuilt) == hash(flag)
+
+
+def test_lab_memo_leaves_the_flag_as_it_was():
+    # the lab keeps its stencil on the flag; the flag compares, hashes, prints,
+    # converts and pickles as before, and pickle and copy carry the fields alone
+    flag = flag_of("A", 3, [2])
+    plain = (hash(flag), repr(flag), asdict(flag), pickle.dumps(flag))
+    H = numeric_form_at_origin(flag, [1, 2])
+    assert "_lab" in vars(flag)
+    assert (hash(flag), repr(flag), asdict(flag), pickle.dumps(flag)) == plain
+    assert flag == flag_of("A", 3, [2])
+    assert set(flag.__getstate__()) == {f.name for f in fields(ParabolicFlag)}
+    for twin in (pickle.loads(pickle.dumps(flag)), copy.copy(flag), copy.deepcopy(flag)):
+        assert twin == flag and hash(twin) == hash(flag)
+        assert set(vars(twin)) == {f.name for f in fields(ParabolicFlag)}
+        assert np.array_equal(numeric_form_at_origin(twin, [1, 2]), H)
 
 
 def test_reference_memo_is_kept_for_the_same_flag_object_only():
@@ -782,11 +845,14 @@ def _object_memos(tree, module, cached_property):
 
 
 def test_every_cache_is_a_module_level_function_with_cache_clear():
-    # a cold benchmark pass clears every module attribute of flagcy that has
-    # cache_clear; a cache on a method or in a closure would stay warm.  The
-    # only other memos are the two that InvariantClass keeps on itself, found
-    # by name: a cached_property, or a constant key into an object's __dict__
-    # or vars(); object.__setattr__ may set dataclass fields only
+    # a cold benchmark pass clears each attribute with cache_clear of the flagcy
+    # modules imported when the benchmark starts; a cache on a method or in a
+    # closure would stay warm, and so would one in potential_lab, which loads
+    # only with the numeric lab, so it declares none.  The only other memos are
+    # the two that InvariantClass keeps on itself and the lab's stencil on a
+    # flag, which dies with the flag (cli._flag is cleared), found by name: a
+    # cached_property, or a constant key into an object's __dict__ or vars();
+    # object.__setattr__ may set dataclass fields only
     declared, memos = {}, set()
     for info in pkgutil.iter_modules(flagcy.__path__):
         module = importlib.import_module(f"flagcy.{info.name}")
@@ -818,15 +884,24 @@ def test_every_cache_is_a_module_level_function_with_cache_clear():
                 assert isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)
                 name = stmt.targets[0].id
             declared[f"{info.name}.{name}"] = getattr(module, name)
-    assert {"flag_geometry._ray", "root_system._root_datum", "cli._parser"} <= declared.keys()
-    assert memos == {"flag_geometry.InvariantClass._integer_form", "flag_geometry.__dict__['_reference']"}
+    assert {"flag_geometry._ray", "root_system._root_datum", "cli._parser", "cli._flag"} <= declared.keys()
+    assert not [name for name in declared if name.startswith("potential_lab.")]
+    assert memos == {
+        "flag_geometry.InvariantClass._integer_form",
+        "flag_geometry.__dict__['_reference']",
+        "potential_lab.__dict__['_lab']",
+    }
     # and both live on an InvariantClass once it is paired
     flag = flag_of("A", 2)
     omega = InvariantClass(0, (F(1), F(2)))
     volume(flag, omega)
     assert set(vars(omega)) - {f.name for f in fields(InvariantClass)} == {"_integer_form", "_reference"}
-    # the per-ray cache has a fixed bound
+    # the lab's memo lives on the flag it was computed for
+    numeric_form_at_origin(flag, [1, 2])
+    assert set(vars(flag)) - {f.name for f in fields(ParabolicFlag)} == {"_lab"}
+    # the per-ray cache and the CLI's flag cache have fixed bounds
     assert flag_geometry._ray.cache_info().maxsize is not None
+    assert cli._flag.cache_info().maxsize == 64
     for cached in declared.values():
         cached.cache_clear()
         assert cached.cache_info().currsize == 0

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -6,6 +8,7 @@ from math import log, pi
 import numpy as np
 import pytest
 
+import flagcy.cli as cli
 import flagcy.potential_lab as potential_lab
 from flagcy import (
     DimensionMismatch,
@@ -233,7 +236,11 @@ def test_numeric_form_full_flag_diagonal():
 
 
 def test_numeric_form_hermitian_before_symmetrization():
-    for flag, coeffs in [(flag_of("A", 2), [2, 2]), (flag_of("A", 3), [1, 2, 3])]:
+    # a class's Hessian is a real-weighted sum of Hermitian D_a, with no mirror of its own
+    for flag, coeffs in [(flag_of("A", 2), [2, 2]), (flag_of("A", 3), [1, 2, 3]),
+                         (flag_of("A", 3), ["1/3", "-7/11", "5"]),
+                         (flag_of("A", 4), ["1e-300", "3.7", "-2.5e10", "1/7"]),
+                         (flag_of("A", 4, (2,)), ["-1e200", "0", "1e-8"])]:
         H = numeric_form_at_origin(flag, coeffs)
         assert np.array_equal(H, H.conj().T)
 
@@ -287,8 +294,9 @@ def test_numeric_form_recovers_a_hermitian_quadratic(monkeypatch):
     A = B + B.conj().T
 
     def quadratic(flag, rows, points):
+        # linear in the row, as the real potentials are: the class (1, 1) gets phi itself
         values = np.einsum("...j,jk,...k->...", points, A, np.conj(points)).real
-        return np.stack([values] * len(rows))
+        return np.stack([row[0] * values for row in rows])
 
     monkeypatch.setattr(potential_lab, "_potentials", quadratic)
     H = numeric_form_at_origin(flag, [1, 1])
@@ -311,10 +319,11 @@ def test_numeric_form_cross_stencil_beyond_second_order(monkeypatch):
     S = (B + B.T) / (2 * np.linalg.norm(B + B.T, 2))  # |Re z^T S z| <= |z|^2 / 2
 
     def log_quadratic(flag, rows, points):
+        # linear in the row, so the class (1, 1) gets phi itself at every stencil point
         z = np.asarray(points)
         hermitian = np.einsum("...j,jk,...k->...", z.conj(), A, z)
         pluriharmonic = np.einsum("...j,jk,...k->...", z, S, z)
-        return np.stack([np.log1p((hermitian + pluriharmonic).real)] * len(rows))
+        return np.stack([row[0] * np.log1p((hermitian + pluriharmonic).real) for row in rows])
 
     monkeypatch.setattr(potential_lab, "_potentials", log_quadratic)
     for h in (1e-2, 0.3):
@@ -324,7 +333,22 @@ def test_numeric_form_cross_stencil_beyond_second_order(monkeypatch):
     assert np.max(np.abs(H - A.T)[off]) > 0.1  # step 0.3 is far from the second-order limit
 
 
+def test_a_zero_coefficient_adds_nothing(monkeypatch):
+    # a direction whose stencil leaves the float range spoils only the classes that use it
+    flag = flag_of("A", 2)
+
+    def second_direction_overflows(flag, rows, points):
+        values = np.abs(np.asarray(points)).sum(axis=-1) ** 2
+        return np.stack([row[0] * values + (np.inf if row[1] else 0.0) for row in rows])
+
+    monkeypatch.setattr(potential_lab, "_potentials", second_direction_overflows)
+    assert np.isfinite(numeric_form_at_origin(flag, [1, 0])).all()
+    with pytest.raises(IllConditioned, match="non-finite entry"):
+        numeric_form_at_origin(flag, [1, 1])
+
+
 def test_numeric_form_evaluates_the_potential_once(monkeypatch):
+    # once per flag object and step: a check on a flag and step already seen evaluates nothing
     flag = flag_of("A", 3, [2])
     calls, charts = [], []
     potentials, chart = potential_lab._potentials, potential_lab.unipotent_matrix
@@ -339,15 +363,57 @@ def test_numeric_form_evaluates_the_potential_once(monkeypatch):
 
     monkeypatch.setattr(potential_lab, "_potentials", counted)
     monkeypatch.setattr(potential_lab, "unipotent_matrix", counted_chart)
-    n = flag.dim_c
+    n, rho = flag.dim_c, flag.picard_rank
     stencil = (4 * n + 8 * n * (n - 1), n)
-    numeric_form_at_origin(flag, [1, 2])
-    assert calls == [(1, stencil)] and charts == [stencil]
-    # both classes of a check share one evaluation and one chart stack
-    calls.clear()
-    charts.clear()
-    check_eigenvalue_formula(flag, [1, 2], [-1, 1])
-    assert calls == [(2, stencil)] and charts == [stencil]
+
+    once, none = ([(rho, stencil)], [stencil]), ([], [])
+
+    def evaluations(run):
+        calls.clear()
+        charts.clear()
+        run()
+        return calls.copy(), charts.copy()
+
+    def request():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify-numeric", "A", "3", "--parabolic=2", "--psi=-1,1"]) == 0
+
+    # a first check evaluates one row per Picard direction on one chart stack
+    assert evaluations(lambda: numeric_form_at_origin(flag, [1, 2])) == once
+    # a second check on the same flag object and step evaluates none, for both of its classes
+    assert evaluations(lambda: check_eigenvalue_formula(flag, [1, 2], [-1, 1])) == none
+    assert evaluations(lambda: numeric_form_at_origin(flag, [3, -1])) == none
+    # a new step evaluates the rows again, and the memo keeps the last step only
+    assert evaluations(lambda: numeric_form_at_origin(flag, [1, 2], step=1e-3)) == once
+    assert evaluations(lambda: numeric_form_at_origin(flag, [1, 2])) == once
+    # a fresh flag equal to this one has no memo
+    assert evaluations(lambda: numeric_form_at_origin(flag_of("A", 3, [2]), [1, 2])) == once
+    # the CLI reuses its flag, and with it the memo, until its flag cache is cleared
+    cli._flag.cache_clear()
+    assert evaluations(request) == once
+    assert evaluations(request) == none
+    cli._flag.cache_clear()
+    assert evaluations(request) == once
+
+
+def test_direction_hessians_are_kept_read_only_on_the_flag():
+    # the memo holds (step, Hessians) for the last step only, and no caller can change it
+    flag = flag_of("A", 3)
+    D = potential_lab._direction_hessians(flag, 1e-4)
+    assert D.shape == (flag.picard_rank, flag.dim_c, flag.dim_c) and not D.flags.writeable
+    assert vars(flag)["_lab"][0] == 1e-4 and vars(flag)["_lab"][1] is D
+    assert potential_lab._direction_hessians(flag, 1e-4) is D
+    with pytest.raises(ValueError):
+        D[0, 0, 0] = 1.0
+    H = numeric_form_at_origin(flag, [1, 0, 0])
+    H[0, 0] = 5.0  # a returned Hessian is the caller's own
+    assert np.array_equal(numeric_form_at_origin(flag, [1, 0, 0]), D[0])
+    # each direction's Hessian is the Hessian of its unit class, on a fresh flag too
+    for a in range(flag.picard_rank):
+        unit = [int(b == a) for b in range(flag.picard_rank)]
+        assert np.array_equal(numeric_form_at_origin(flag_of("A", 3), unit), D[a])
+    potential_lab._direction_hessians(flag, 1e-3)
+    assert vars(flag)["_lab"][0] == 1e-3
 
 
 STENCIL_FLAGS = [(2, []), (3, []), (3, [2]), (4, [2, 3]), (5, [2, 4])]
