@@ -5,9 +5,12 @@ numeric tolerance check), 3 unsupported feature (including an exact result beyon
 interpreter's digit limit).  The parser is the one registry of commands and options: each
 subcommand carries its handler, ``main`` hands it the request's flag, which ``_flag`` builds
 once per process for each family, rank and parabolic set, and a report echoes the parsed
-inputs in the parser's order.  ``_parse`` reads every numeral, the argparse types' too, so a
-bad one reads ``flagcy: cannot parse <what> '<text>': <reason>``; a rational goes through
-``errors._fraction``, which bounds its decimal exponent.
+inputs in the parser's order.  Every argument must be text.  A request in exact form (exact
+option strings, no separate value that starts with ``-``) is read in one pass against the
+subcommand's own argparse actions, into the namespace argparse would build; argparse answers
+everything else, so help, usage and error text are its own.  ``_parse`` reads every numeral,
+the argparse types' too, so a bad one reads ``flagcy: cannot parse <what> '<text>': <reason>``;
+a rational goes through ``errors._fraction``, which bounds its decimal exponent.
 Handlers return library values and only the emitters render them: an exact ``Fraction`` as
 its fraction string, never with a decimal point, and numeric-lab floats as plain floats.
 JSON output passes pre-rendered fragments through verbatim: ``describe`` renders its root
@@ -358,6 +361,97 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = cache(build_parser)  # parse_args keeps no state, so one parser serves all calls
 
 
+def _readable(action: argparse.Action) -> bool:
+    """Whether ``_read`` takes ``action`` as argparse does: a constant flag, or one value
+    stored or appended to a list, with a default that argparse leaves as it is."""
+    if getattr(action, "deprecated", False) or action.default is argparse.SUPPRESS:
+        return False
+    if isinstance(action, argparse._StoreConstAction):  # store_const, store_true, store_false
+        return True
+    if type(action) is argparse._AppendAction:
+        return action.nargs is None and type(action.default) is list
+    return (type(action) is argparse._StoreAction and action.nargs is None
+            and not (isinstance(action.default, str) and action.type is not None))
+
+
+@lru_cache(maxsize=1)
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    """For each subcommand whose actions are all ``_readable``: its options by exact option
+    string, its positionals in order, every destination with its default in argparse's
+    namespace order (the actions, then the subcommand's own defaults such as ``handler``),
+    and the required destinations.  Built on the first request, once per parser."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {}
+    for name, sub in subs.choices.items():
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        dests = [a.dest for a in actions]
+        if len(set(dests)) < len(dests) or "command" in dests or not all(map(_readable, actions)):
+            continue  # argparse answers every request of this command
+        options = {s: a for a in actions for s in a.option_strings}
+        positionals = tuple(a for a in actions if not a.option_strings)
+        defaults = {a.dest: a.default for a in actions}
+        for dest, value in sub._defaults.items():
+            defaults.setdefault(dest, value)
+        tables[name] = (options, positionals, defaults, {a.dest for a in actions if a.required})
+    return tables
+
+
+def _read(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``parser.parse_args(argv)`` returns, read in one pass, or None.
+
+    None means argparse must answer: a first token that is no command, a token that starts
+    with ``-`` and is not an exact option string, ``=`` on a flag, a separate value that
+    starts with ``-`` or is missing, an explicit ``--`` value, a failed conversion or choice,
+    an extra positional, or a missing required input.  It never raises and never prints.
+    """
+    command = _commands(parser).get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options, positionals, values, required = command
+    values, seen, positionals, tokens = dict(values), set(), iter(positionals), iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            action, value = next(positionals, None), token
+            if action is None:
+                return None
+        else:
+            name, eq, value = token.partition("=")
+            action = options.get(name)
+            # "=" on a flag is an argparse error, and argparse versions differ on "=--"
+            if action is None or eq and (action.nargs == 0 or value == "--"):
+                return None
+            if action.nargs == 0:
+                value = action.const
+            elif not eq:
+                value = next(tokens, "-")  # a missing value defers like a dash one
+                if value[:1] == "-":
+                    return None
+        try:
+            if action.type is not None:
+                value = action.type(value)
+            if action.choices is not None and value not in action.choices:
+                return None
+        except Exception:  # argparse converts again and raises this, or an earlier error
+            return None
+        dest = action.dest
+        values[dest] = [*values[dest], value] if type(action) is argparse._AppendAction else value
+        seen.add(dest)
+    if not required <= seen:
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, read in one pass where ``_read`` can, once every
+    argument is known to be text."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i, arg in enumerate(argv, 1):
+        if not isinstance(arg, str):
+            raise _CliParseError(f"cannot parse argument {i}: expected str, got {type(arg).__name__}")
+    parser = _parser()
+    return _read(parser, argv) or parser.parse_args(argv)
+
+
 @lru_cache(maxsize=64)
 def _flag(lie_type: LieType, parabolic: tuple[int, ...]) -> ParabolicFlag:
     """The flag of a request, built once per process for each key; an error is never cached.
@@ -371,7 +465,7 @@ def _flag(lie_type: LieType, parabolic: tuple[int, ...]) -> ParabolicFlag:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         report = {"command": args.command, "inputs": _inputs_echo(args)}
         lie_type = LieType(args.family, args.rank)
         parabolic = args.parabolic.strip()

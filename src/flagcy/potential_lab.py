@@ -286,7 +286,8 @@ def check_eigenvalue_formula(
     The step and the tolerance must be finite and positive, and the metric class
     Kahler: the exact spectrum comes first and raises NotKahler before any numerics.
     A stencil above the lab's cap is UnsupportedType; a Hessian or a spectrum
-    that leaves the float range is IllConditioned.
+    that leaves the float range is IllConditioned, and so is a metric Hessian
+    whose largest |eigenvalue| exceeds ``_COND_LIMIT`` times its smallest.
     """
     _require_type_a(flag)
     step = _finite_positive("step", step)
@@ -299,7 +300,10 @@ def check_eigenvalue_formula(
     # a spectrum that leaves the float range is IllConditioned, not a warning
     with np.errstate(all="ignore"):
         try:
-            if np.linalg.cond(H_omega) > _COND_LIMIT:
+            # H_omega is Hermitian, so its singular values are the |w| of its spectrum, and its
+            # condition number is max |w| / min |w|; written so that a nan refuses too
+            w = np.abs(np.linalg.eigvalsh(H_omega))
+            if not w.max() <= _COND_LIMIT * w.min():
                 raise IllConditioned("metric Hessian is numerically singular")
             numeric = sorted(np.linalg.eigvals(np.linalg.solve(H_omega, H_psi)).real.tolist())
             max_dev = float(np.max(np.abs(np.subtract(numeric, [float(ex) for ex in exact]))))

@@ -23,6 +23,7 @@ import flagcy.picard_lattice as picard_lattice
 from flagcy.cli import main
 from flagcy.errors import _fraction
 
+from argv_corpus import outcome, replay
 from conftest import flag_of
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -947,6 +948,43 @@ def test_reused_parser_prints_the_same_help(monkeypatch):
     assert reused == help_texts()
 
 
+def test_the_reader_and_argparse_agree_on_a_seeded_corpus():
+    # each argv gives the same namespace items in order, the same exception or the
+    # same SystemExit both ways, and no parse changes a default; CI replays a larger
+    # corpus on every supported Python, since argparse's rules differ between versions
+    count = 4000
+    read = replay(count, seed=30)
+    assert count // 4 < read < count * 3 // 4  # both paths are exercised
+
+
+def test_the_reader_answers_every_pinned_request_without_argparse(monkeypatch):
+    requests = [*GOLDEN_COMMANDS.values(),
+                *([command, "A", "2", *options] for command, *options in A2_TEXT_DIGESTS)]
+    expected = [outcome(cli._parser().parse_args, argv) for argv in requests]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a request in exact form")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [outcome(cli._parse_args, argv) for argv in requests] == expected
+    assert all(result[0] == "ok" for result in expected)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["describe", "A", 2], "cannot parse argument 3: expected str, got int"),
+    (["describe", b"A", "2"], "cannot parse argument 2: expected str, got bytes"),
+    ([None], "cannot parse argument 1: expected str, got NoneType"),
+    (["gauduchon", "A", "2", "--k", 1, "--t=-1", "--bundle=-1,1"],
+     "cannot parse argument 5: expected str, got int"),
+    (["describe", "A", "2", ["--format", "json"]], "cannot parse argument 4: expected str, got list"),
+    (["-h", 1.5], "cannot parse argument 2: expected str, got float"),  # before help, too
+])
+def test_arguments_that_are_not_text_are_parse_errors(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"flagcy: {message}\n")
+
+
 def test_version_prints_one_line_and_exits_zero():
     out = io.StringIO()
     with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
@@ -987,8 +1025,10 @@ LAZY_LAB_SCRIPT = """
 import sys
 import flagcy, flagcy.cli
 
-# the CLI's start-up cost is this import: numpy waits for the numeric lab
+# the CLI's start-up cost is this import: numpy waits for the numeric lab, and the
+# parser and its one-pass tables for the first request
 assert "numpy" not in sys.modules, "numpy loaded by the import of flagcy.cli"
+assert flagcy.cli._parser.cache_info().currsize == flagcy.cli._commands.cache_info().currsize == 0
 lab = {lab!r}
 requests = [
     ["describe", "A", "2"],

@@ -884,7 +884,8 @@ def test_every_cache_is_a_module_level_function_with_cache_clear():
                 assert isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)
                 name = stmt.targets[0].id
             declared[f"{info.name}.{name}"] = getattr(module, name)
-    assert {"flag_geometry._ray", "root_system._root_datum", "cli._parser", "cli._flag"} <= declared.keys()
+    assert {"flag_geometry._ray", "root_system._root_datum", "cli._parser", "cli._commands",
+            "cli._flag"} <= declared.keys()
     assert not [name for name in declared if name.startswith("potential_lab.")]
     assert memos == {
         "flag_geometry.InvariantClass._integer_form",
@@ -899,9 +900,10 @@ def test_every_cache_is_a_module_level_function_with_cache_clear():
     # the lab's memo lives on the flag it was computed for
     numeric_form_at_origin(flag, [1, 2])
     assert set(vars(flag)) - {f.name for f in fields(ParabolicFlag)} == {"_lab"}
-    # the per-ray cache and the CLI's flag cache have fixed bounds
+    # the per-ray cache, the CLI's flag cache and its one-pass tables have fixed bounds
     assert flag_geometry._ray.cache_info().maxsize is not None
     assert cli._flag.cache_info().maxsize == 64
+    assert cli._commands.cache_info().maxsize == 1  # one parser's tables
     for cached in declared.values():
         cached.cache_clear()
         assert cached.cache_info().currsize == 0

@@ -561,6 +561,40 @@ def test_singular_metric_hessian_detected(monkeypatch):
         potential_lab.check_eigenvalue_formula(flag, [2, 2], [1, 0])
 
 
+@pytest.mark.parametrize("spectrum, rotated, refused", [
+    ((1e12 * (1 + 2**-40), 1.0, 1.0), False, True),  # a ratio just above the limit
+    ((-1e12 * (1 + 2**-40), 1.0, 1.0), False, True),  # the ratio is of |w|
+    ((1e12 * (1 - 2**-40), 1.0, 1.0), False, False),  # just below it
+    ((1.0, 0.0, 1.0), False, True),
+    ((1e6, -1.0, 1.0), True, False),  # an indefinite metric Hessian is not singular
+    ((-1e13, 1.0, 1.0), True, True),
+])
+def test_metric_hessian_refusal_reads_its_condition_number_off_the_spectrum(
+        monkeypatch, spectrum, rotated, refused):
+    flag = flag_of("A", 2)
+    H_omega = np.diag(np.array(spectrum, dtype=complex))
+    if rotated:  # the same spectrum off the diagonal, in exactly Hermitian form
+        unitary = np.linalg.qr(np.array([[1, 2j, 0], [0, 1, 3], [1j, 0, 1]]))[0]
+        H_omega = unitary @ H_omega @ unitary.conj().T
+        H_omega = (H_omega + H_omega.conj().T) / 2
+    monkeypatch.setattr(potential_lab, "_hessians_at_origin", lambda *a, **k: np.stack([H_omega] * 2))
+    if refused:
+        with pytest.raises(IllConditioned, match="numerically singular"):
+            check_eigenvalue_formula(flag, [2, 2], [1, 0])
+    else:
+        report = check_eigenvalue_formula(flag, [2, 2], [1, 0])
+        assert report.numeric == pytest.approx((1.0, 1.0, 1.0))
+
+
+def test_a_zero_or_non_finite_metric_hessian_is_ill_conditioned(monkeypatch):
+    flag = flag_of("A", 2)
+    for entry in (0.0, float("nan"), float("inf")):
+        H_omega = np.full((3, 3), entry, dtype=complex)
+        monkeypatch.setattr(potential_lab, "_hessians_at_origin", lambda *a, **k: np.stack([H_omega] * 2))
+        with pytest.raises(IllConditioned):
+            check_eigenvalue_formula(flag, [2, 2], [1, 0])
+
+
 def test_step_validation():
     flag = flag_of("A", 2)
     for bad in (0.0, -1.0, float("nan"), float("inf"), "x", None):
