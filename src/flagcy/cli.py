@@ -8,14 +8,18 @@ once per process for each family, rank and parabolic set, and a report echoes th
 inputs in the parser's order.  Every argument must be text.  A request in exact form (exact
 option strings, no separate value that starts with ``-``) is read in one pass against the
 subcommand's own argparse actions, into the namespace argparse would build; argparse answers
-everything else, so help, usage and error text are its own.  ``_parse`` reads every numeral,
-the argparse types' too, so a bad one reads ``flagcy: cannot parse <what> '<text>': <reason>``;
-a rational goes through ``errors._fraction``, which bounds its decimal exponent.
+everything else, so help, usage and error text are its own.  An explicit ``=--`` value,
+which argparse may store as ``[]`` in place of one value, is a parse error too.  ``_parse``
+reads every numeral, the argparse types' too, so a bad one reads ``flagcy: cannot parse
+<what> '<text>': <reason>``; a rational goes through ``errors._fraction``, which bounds its
+decimal exponent.
 Handlers return library values and only the emitters render them: an exact ``Fraction`` as
 its fraction string, never with a decimal point, and numeric-lab floats as plain floats.
 JSON output passes pre-rendered fragments through verbatim: ``describe`` renders its root
 table to text, one template per root, each coordinate vector turned into one string of
-digits in C (every root and coroot coordinate is 0..6) whose characters are joined.  An
+digits in C (every root and coroot coordinate is 0..6) whose characters are joined.
+``_root_rows`` renders those rows once per process for each Lie type, in a bounded cache,
+split around the one value that depends on the flag, ``off_parabolic``.  An
 input that the report echoes may hold no control or line-break character (exit 1).
 """
 
@@ -148,19 +152,32 @@ def _digits(coords: tuple[int, ...]) -> str:
     return bytes(coords).translate(_DIGITS).decode("ascii")
 
 
+@lru_cache(maxsize=16)
+def _root_rows(lie_type: LieType) -> tuple[tuple[str, str], ...]:
+    """Each positive root's JSON row of ``describe``, split around its ``off_parabolic`` value.
+
+    A row is ``head + ("true" | "false") + tail`` at the table's indent depth, keys in sorted
+    order; the value is the one part that depends on the flag.  Rendered once per process for
+    each Lie type, keyed by the type alone, and bounded: a full A64 row set takes about 4 MiB.
+    """
+    ints, strs = ",\n          ", '",\n          "'
+    return tuple(
+        (f'{{\n        "coroot": [\n          "{strs.join(_digits(b.coroot_coords))}"\n        ],\n'
+         f'        "height": {b.height},\n        "off_parabolic": ',
+         f',\n        "root": [\n          {ints.join(_digits(b.root_coords))}\n        ]\n      }}')
+        for b in build_root_datum(lie_type).positive_roots)
+
+
 def _cmd_describe(flag: ParabolicFlag, args) -> dict:
     off = set(map(id, flag.phi_complement))  # make_flag picks phi from the datum's own roots
     roots = flag.datum.positive_roots
     if args.format == "text":
         table = [{"root": b.root_coords, "coroot": b.coroot_coords,
                   "height": b.height, "off_parabolic": id(b) in off} for b in roots]
-    else:  # results.positive_roots as JSON text at its indent depth, one template per root
-        ints, strs = ",\n          ", '",\n          "'
-        table = _Rendered("[\n      " + ",\n      ".join(
-            f'{{\n        "coroot": [\n          "{strs.join(_digits(b.coroot_coords))}"\n        ],\n'
-            f'        "height": {b.height},\n        "off_parabolic": {"true" if id(b) in off else "false"},\n'
-            f'        "root": [\n          {ints.join(_digits(b.root_coords))}\n        ]\n      }}'
-            for b in roots) + "\n    ]")
+    else:  # results.positive_roots as JSON text at its indent depth, one cached row per root
+        table = _Rendered("[\n      " + ",\n      ".join([
+            head + ("true" if id(b) in off else "false") + tail
+            for (head, tail), b in zip(_root_rows(flag.datum.lie_type), roots)]) + "\n    ]")
     return {
         "dim_c": flag.dim_c,
         "picard_rank": flag.picard_rank,
@@ -452,6 +469,20 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     return _read(parser, argv) or parser.parse_args(argv)
 
 
+def _one_value_each(args: argparse.Namespace) -> None:
+    """Refuse what argparse stores for an explicit ``=--`` value on some Python versions: it drops
+    the ``--`` and stores ``[]`` in place of the option's one value, or appends ``[]``."""
+    for dest, value in vars(args).items():
+        if isinstance(value, list):  # only an append action's own list is admitted
+            subs = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+            action = next(a for a in subs.choices[args.command]._actions if a.dest == dest)
+            append = type(action) is argparse._AppendAction
+            bad = [item for item in value if not isinstance(item, str)] if append else [value]
+            if bad:
+                name = action.option_strings[0] if action.option_strings else dest
+                raise _CliParseError(f"cannot parse {name}: expected one value, got {bad[0]!r}")
+
+
 @lru_cache(maxsize=64)
 def _flag(lie_type: LieType, parabolic: tuple[int, ...]) -> ParabolicFlag:
     """The flag of a request, built once per process for each key; an error is never cached.
@@ -466,6 +497,7 @@ def _flag(lie_type: LieType, parabolic: tuple[int, ...]) -> ParabolicFlag:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
+        _one_value_each(args)
         report = {"command": args.command, "inputs": _inputs_echo(args)}
         lie_type = LieType(args.family, args.rank)
         parabolic = args.parabolic.strip()

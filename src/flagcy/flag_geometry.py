@@ -27,6 +27,8 @@ reference with the flag, reused only for that same flag object (``is``; nothing 
 Every call still checks the class's type and length, and a class that is not Kahler
 stores nothing, so it raises on every call.  Classes built from the library's own values
 skip the outside-input intake through ``_trusted``; ``InvariantClass(...)`` keeps it.
+Likewise ``make_flag`` builds the flags of the library's own root data unchecked, while
+``ParabolicFlag(...)`` and ``dataclasses.replace`` check every field.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     _integer,
     _items,
 )
-from .root_system import PositiveRoot, RootDatum
+from .root_system import LieType, PositiveRoot, RootDatum, _root_datum
 
 _ZERO = Fraction(0)  # what _contraction returns for every degree-zero class
 
@@ -72,7 +74,9 @@ class ParabolicFlag:
     A flag built here, or by ``dataclasses.replace``, must hold a ``RootDatum``, a
     tuple of positive roots, and int tuples of matching lengths: positive indices,
     Weyl row and anticanonical coefficients, and nonnegative table rows with a
-    positive entry each; anything else is InvalidParameter.  The numeric lab keeps its per-step
+    positive entry each; anything else is InvalidParameter.  Only ``make_flag`` skips
+    that check, for a flag of the library's own cached datum, whose fields it has just
+    computed from roots that ``root_system`` built.  The numeric lab keeps its per-step
     Hessians in the flag's ``__dict__``; pickle and copy carry the fields alone.
     """
 
@@ -123,7 +127,12 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
     """Build the flag for a parabolic subset of 1-based simple-root indices.
 
     Each index may appear once; the pairing table, Weyl row and
-    anticanonical coefficients are computed here, once per flag.
+    anticanonical coefficients are computed here, once per flag.  On the datum
+    ``build_root_datum`` caches for its Lie type, every field comes from roots with
+    nonnegative int coordinates, each coroot with its root's support, so the flag
+    passes ``ParabolicFlag``'s intake check and is built without it.  Any other datum, such as a
+    hand-built one, a ``dataclasses.replace`` of one, or one left over after the
+    cache was cleared, goes through that check.
     """
     if not isinstance(datum, RootDatum):
         raise InvalidParameter(f"expected a RootDatum, got {datum!r}")
@@ -152,7 +161,18 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
         if c <= 0:
             raise AssertionError(f"anticanonical coefficient at alpha_{a} is {c}")
     table, weyl_row = tuple(map(pick, coroots)), tuple(map(sum, coroots))
-    return ParabolicFlag(datum, pset, complement, phi, table, weyl_row, anticanonical)
+    if not (type(datum.lie_type) is LieType and datum is _root_datum(datum.lie_type)):
+        return ParabolicFlag(datum, pset, complement, phi, table, weyl_row, anticanonical)
+    # the library's own datum: every field was computed above from its checked roots
+    flag = object.__new__(ParabolicFlag)
+    object.__setattr__(flag, "datum", datum)
+    object.__setattr__(flag, "parabolic_set", pset)
+    object.__setattr__(flag, "complement", complement)
+    object.__setattr__(flag, "phi_complement", phi)
+    object.__setattr__(flag, "pairing_table", table)
+    object.__setattr__(flag, "weyl_row", weyl_row)
+    object.__setattr__(flag, "anticanonical", anticanonical)
+    return flag
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""A seeded argv corpus that replays each request through ``flagcy.cli._parse_args`` and argparse.
+"""A seeded argv corpus that replays each request through ``flagcy.cli._parse_args`` and argparse,
+and through ``flagcy.cli.main``.
 
 The corpus mixes requests in exact form, which ``cli._read`` answers in one pass, with
 abbreviated options, ``--``, help flags, dash values, repeated options, bad choices and
 numerals, empty tokens and missing required inputs, which argparse answers.  Each request
 must give the same namespace items in order, the same exception or the same ``SystemExit``
-(with the same output) both ways.  ``test_cli.py`` replays a small corpus; to replay a
-larger one, as CI does on every supported Python:
+(with the same output) both ways.  Run through ``main``, each must end in an exit code
+0..3 and raise nothing else.  ``test_cli.py`` replays small corpora; to replay a larger
+one both ways, as CI does on every supported Python:
 
     PYTHONPATH=src python tests/argv_corpus.py 100000 30
 """
@@ -16,6 +18,7 @@ import contextlib
 import io
 import random
 import sys
+from collections import Counter
 
 import flagcy.cli as cli
 
@@ -133,7 +136,31 @@ def replay(count: int, seed: int) -> int:
     return read
 
 
+def replay_main(count: int, seed: int) -> Counter:
+    """Run ``count`` seeded argv through ``cli.main``; how many ended in each exit code.
+
+    Help and ``--version`` end in ``SystemExit(0)``.  Raises AssertionError on the first argv
+    that raises anything else, or ends in an exit code outside 0..3.
+    """
+    rng, codes = random.Random(seed), Counter()
+    for _ in range(count):
+        argv = request(rng)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            raise AssertionError(f"{argv!r} raised {type(exc).__name__}: {exc}") from exc
+        if code not in (0, 1, 2, 3):
+            raise AssertionError(f"{argv!r} exited {code!r}")
+        codes[code] += 1
+    return codes
+
+
 if __name__ == "__main__":
     count, seed = map(int, sys.argv[1:3])
     read = replay(count, seed)
     print(f"{count} argv agree on Python {sys.version.split()[0]}; {read} read in one pass")
+    codes = replay_main(count, seed)
+    print(f"through main, exit codes: {dict(sorted(codes.items()))}")

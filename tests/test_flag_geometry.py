@@ -5,7 +5,7 @@ import inspect
 import pickle
 import pkgutil
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import asdict, fields, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -28,6 +28,7 @@ from flagcy import (
     LineBundleClass,
     NotKahler,
     ParabolicFlag,
+    PositiveRoot,
     anticanonical_class,
     build_balanced,
     build_root_datum,
@@ -682,10 +683,42 @@ def test_pairing_memo_leaves_the_class_as_it_was():
 
 
 def test_public_flag_constructor_admits_every_flag_make_flag_builds():
-    # make_flag builds through the checked constructor, so the check must admit every real flag
+    # make_flag builds the flags of the library's own root data without the check, so
+    # each must be the flag the checked constructor gives, and the check must admit it
     for flag in [*grid_flags(), *(flag_of(f, r) for f, r in [("A", 24), ("E", 8), ("F", 4), ("G", 2)])]:
         rebuilt = ParabolicFlag(*(getattr(flag, f.name) for f in fields(ParabolicFlag)))
         assert rebuilt == flag and hash(rebuilt) == hash(flag)
+        assert set(vars(flag)) == set(vars(rebuilt)) == {f.name for f in fields(ParabolicFlag)}
+
+
+def test_only_flags_of_the_library_own_root_data_skip_the_check(monkeypatch):
+    checked = []
+    post_init = ParabolicFlag.__post_init__
+
+    def counted(flag):
+        checked.append(flag)
+        post_init(flag)
+
+    monkeypatch.setattr(ParabolicFlag, "__post_init__", counted)
+    lie_type = LieType("A", 3)
+    datum = build_root_datum(lie_type)
+    own = make_flag(datum, [2])
+    assert checked == []
+    # an equal datum that is not the cached one, as after a cache clear, a replaced one,
+    # and one whose Lie type is no LieType: each flag is checked, and equal to the trusted one
+    leftover = flag_geometry._root_datum.__wrapped__(lie_type)
+    assert leftover == datum and leftover is not datum
+    FakeType = namedtuple("FakeType", "family rank")
+    for other in (leftover, replace(datum), replace(datum, lie_type=FakeType("A", 3))):
+        assert make_flag(other, [2]).pairing_table == own.pairing_table
+    assert len(checked) == 3
+    # so a bad root in a datum the library did not cache is still the check's typed error
+    beta = datum.positive_roots[-1]
+    bent = PositiveRoot(beta.root_coords, tuple(-c for c in beta.coroot_coords))
+    for lie in (lie_type, FakeType("A", 3)):
+        bad = replace(datum, lie_type=lie, positive_roots=(*datum.positive_roots[:-1], bent))
+        with pytest.raises(InvalidParameter, match="a flag needs a RootDatum"):
+            make_flag(bad, [2])
 
 
 def test_lab_memo_leaves_the_flag_as_it_was():
@@ -801,6 +834,24 @@ def test_trusted_is_called_only_where_the_library_made_the_values():
     assert "_trusted" not in vars(importlib.import_module("flagcy.cli"))
 
 
+def test_object_new_builds_only_the_library_own_objects():
+    # object.__new__ skips a class's checks: _trusted builds the library's own classes,
+    # and make_flag the flags of the library's own root data, and nothing else does
+    built = Counter()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{scope}.{child.name}" if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__new__":
+                built[inner, ast.unparse(child.args[0])] += 1
+            visit(child, inner)
+
+    for info in pkgutil.iter_modules(flagcy.__path__):
+        visit(ast.parse(inspect.getsource(importlib.import_module(f"flagcy.{info.name}"))), info.name)
+    assert built == {("flag_geometry._trusted", "InvariantClass"): 1,
+                     ("flag_geometry.make_flag", "ParabolicFlag"): 1}
+
+
 def _object_memos(tree, module, cached_property):
     """Each memo a module keeps on an object, by name; an unnamed one fails."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
@@ -885,7 +936,7 @@ def test_every_cache_is_a_module_level_function_with_cache_clear():
                 name = stmt.targets[0].id
             declared[f"{info.name}.{name}"] = getattr(module, name)
     assert {"flag_geometry._ray", "root_system._root_datum", "cli._parser", "cli._commands",
-            "cli._flag"} <= declared.keys()
+            "cli._flag", "cli._root_rows"} <= declared.keys()
     assert not [name for name in declared if name.startswith("potential_lab.")]
     assert memos == {
         "flag_geometry.InvariantClass._integer_form",
@@ -900,10 +951,11 @@ def test_every_cache_is_a_module_level_function_with_cache_clear():
     # the lab's memo lives on the flag it was computed for
     numeric_form_at_origin(flag, [1, 2])
     assert set(vars(flag)) - {f.name for f in fields(ParabolicFlag)} == {"_lab"}
-    # the per-ray cache, the CLI's flag cache and its one-pass tables have fixed bounds
+    # the per-ray cache, the CLI's flag cache, its one-pass tables and its rows have fixed bounds
     assert flag_geometry._ray.cache_info().maxsize is not None
     assert cli._flag.cache_info().maxsize == 64
     assert cli._commands.cache_info().maxsize == 1  # one parser's tables
+    assert cli._root_rows.cache_info().maxsize == 16  # the rows of 16 Lie types
     for cached in declared.values():
         cached.cache_clear()
         assert cached.cache_info().currsize == 0
