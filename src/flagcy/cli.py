@@ -15,12 +15,13 @@ reads every numeral, the argparse types' too, so a bad one reads ``flagcy: canno
 decimal exponent.
 Handlers return library values and only the emitters render them: an exact ``Fraction`` as
 its fraction string, never with a decimal point, and numeric-lab floats as plain floats.
-JSON output passes pre-rendered fragments through verbatim: ``describe`` renders its root
-table to text, one template per root, each coordinate vector turned into one string of
-digits in C (every root and coroot coordinate is 0..6) whose characters are joined.
+Each report's text, trailing newline included, is one join of the fragments the emitter
+appends to a list, and ``main`` writes it once; a ``_Rendered`` list of JSON fragments enters
+verbatim.  ``describe`` enters its root table so, one template per root, each coordinate
+vector one string of digits made in C (every coordinate is 0..6) whose characters are joined.
 ``_root_rows`` renders those rows once per process for each Lie type, in a bounded cache,
-split around the one value that depends on the flag, ``off_parabolic``.  An
-input that the report echoes may hold no control or line-break character (exit 1).
+split around the one value that depends on the flag, ``off_parabolic``.  An input that the
+report echoes may hold no control or line-break character (exit 1).
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def _inputs_echo(args) -> dict:
     return echo
 
 
-class _Rendered(str):
-    """JSON text that ``_json`` writes out verbatim."""
+class _Rendered(list):
+    """Fragments of JSON text that ``_json`` joins in verbatim, in order, with the report's own."""
 
 
 # byte i < 10 becomes its decimal digit; any larger byte becomes 0xff, which no ASCII decode admits
@@ -174,10 +175,11 @@ def _cmd_describe(flag: ParabolicFlag, args) -> dict:
     if args.format == "text":
         table = [{"root": b.root_coords, "coroot": b.coroot_coords,
                   "height": b.height, "off_parabolic": id(b) in off} for b in roots]
-    else:  # results.positive_roots as JSON text at its indent depth, one cached row per root
-        table = _Rendered("[\n      " + ",\n      ".join([
-            head + ("true" if id(b) in off else "false") + tail
-            for (head, tail), b in zip(_root_rows(flag.datum.lie_type), roots)]) + "\n    ]")
+    else:  # results.positive_roots as JSON fragments at its indent depth, one cached row per root
+        table = _Rendered(["[\n      "])
+        for (head, tail), b in zip(_root_rows(flag.datum.lie_type), roots):
+            table += head, "true" if id(b) in off else "false", tail, ",\n      "
+        table[-1] = "\n    ]"  # the last separator closes the table
     return {
         "dim_c": flag.dim_c,
         "picard_rank": flag.picard_rank,
@@ -258,36 +260,53 @@ def _text_lines(value, prefix: str = "") -> list[str]:
     return [line for path, item in children for line in _text_lines(item, path)]
 
 
-def _json(value, indent: str = "\n") -> str:
+def _fragments(value, out: list, indent: str) -> list:
+    """``out``, with the JSON text of ``value`` at ``indent`` appended, as ``_json`` renders it."""
+    if type(value) is _Rendered:
+        out += value
+    elif isinstance(value, str):
+        out.append(_s(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append("NaN" if value != value else "Infinity" if value == inf
+                   else "-Infinity" if value == -inf else float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        for i, item in enumerate(value):
+            out.append(("," if i else "[") + inner)
+            _fragments(item, out, inner)
+        out.append(indent + "]" if value else "[]")
+    elif isinstance(value, dict):
+        inner = indent + "  "
+        for i, key in enumerate(sorted(value)):
+            out.append(f"{',' if i else '{'}{inner}{_s(key)}: ")
+            _fragments(value[key], out, inner)
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, Fraction):  # last: an ABC check, slow for every value of another type
+        out.append(f'"{value}"')
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return out
+
+
+def _json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True, default=str)`` byte for byte, for str-keyed reports.
 
     So a ``Fraction`` is its quoted fraction string, and plain data is ``json.dumps`` without
-    ``default``.  A ``_Rendered`` fragment is JSON text already and passes through verbatim.
+    ``default``.  A ``_Rendered`` list of fragments is JSON text already and enters verbatim.
     """
-    if isinstance(value, str):
-        return value if type(value) is _Rendered else _s(value)
-    if value is None or value is True or value is False:
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, Fraction):
-        return f'"{value}"'
-    if isinstance(value, float):
-        return ("NaN" if value != value else "Infinity" if value == inf
-                else "-Infinity" if value == -inf else float.__repr__(value))
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        parts = [_json(item, inner) for item in value]
-        return f"[{inner}{(',' + inner).join(parts)}{indent}]" if value else "[]"
-    if isinstance(value, dict):
-        parts = [f"{_s(key)}: {_json(value[key], inner)}" for key in sorted(value)]
-        return f"{{{inner}{(',' + inner).join(parts)}{indent}}}" if value else "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return "".join(_fragments(value, [], "\n"))
 
 
 def _render(report: dict, fmt: str) -> str:
+    """The report's text with its trailing newline, from one join of all its fragments."""
     try:
-        return _json(report) if fmt == "json" else "\n".join(_text_lines(report))
+        if fmt == "json":
+            return "".join(_fragments(report, [], "\n") + ["\n"])
+        return "\n".join(_text_lines(report) + [""])
     except ValueError as exc:  # an exact integer beyond the interpreter's str conversion limit
         limit = sys.get_int_max_str_digits()
         raise UnsupportedType(f"an exact result has more than {limit} digits to render") from exc
@@ -295,11 +314,12 @@ def _render(report: dict, fmt: str) -> str:
 
 def _emit(text: str) -> None:
     try:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away; stdout now points at devnull so the flush at exit cannot raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _command(subs, name: str, handler, help: str) -> argparse.ArgumentParser:

@@ -28,7 +28,8 @@ Every call still checks the class's type and length, and a class that is not Kah
 stores nothing, so it raises on every call.  Classes built from the library's own values
 skip the outside-input intake through ``_trusted``; ``InvariantClass(...)`` keeps it.
 Likewise ``make_flag`` builds the flags of the library's own root data unchecked, while
-``ParabolicFlag(...)`` and ``dataclasses.replace`` check every field.
+``ParabolicFlag(...)`` and ``dataclasses.replace`` check every field, and ``make_flag``
+checks the fields it reads of any other datum first.
 """
 
 from __future__ import annotations
@@ -118,9 +119,10 @@ class ParabolicFlag:
         return len(self.complement)
 
 
-def _ints(row, size: int, low: int) -> bool:
-    """Whether ``row`` is a tuple of ``size`` ints, each at least ``low``."""
-    return type(row) is tuple and len(row) == size and {*map(type, row)} <= {int} and min(row, default=low) >= low
+def _ints(row, size: int, low: int | None = None) -> bool:
+    """Whether ``row`` is a tuple of ``size`` ints, each at least ``low`` if one is given."""
+    return (type(row) is tuple and len(row) == size and {*map(type, row)} <= {int}
+            and (low is None or min(row, default=low) >= low))
 
 
 def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
@@ -132,10 +134,14 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
     nonnegative int coordinates, each coroot with its root's support, so the flag
     passes ``ParabolicFlag``'s intake check and is built without it.  Any other datum, such as a
     hand-built one, a ``dataclasses.replace`` of one, or one left over after the
-    cache was cleared, goes through that check.
+    cache was cleared, has its fields checked before they are read (``_check_datum``),
+    and its flag goes through that intake check.
     """
     if not isinstance(datum, RootDatum):
         raise InvalidParameter(f"expected a RootDatum, got {datum!r}")
+    own = type(datum.lie_type) is LieType and datum is _root_datum(datum.lie_type)
+    if not own:
+        _check_datum(datum)
     parabolic = _items(parabolic, IndexOutOfRange, "parabolic set")
     indices = [_integer(i, IndexOutOfRange, "simple-root index") for i in parabolic]
     pset = frozenset(indices)
@@ -157,12 +163,12 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
     # the simple coroots of the Picard directions (columns of the Cartan matrix)
     root_sum = list(map(sum, zip(*map(attrgetter("root_coords"), phi))))
     anticanonical = tuple(sum(map(mul, root_sum, col)) for col in pick(tuple(zip(*datum.cartan))))
+    table, weyl_row = tuple(map(pick, coroots)), tuple(map(sum, coroots))
+    if not own:  # a nonpositive anticanonical coefficient is InvalidParameter here
+        return ParabolicFlag(datum, pset, complement, phi, table, weyl_row, anticanonical)
     for a, c in zip(complement, anticanonical):
         if c <= 0:
             raise AssertionError(f"anticanonical coefficient at alpha_{a} is {c}")
-    table, weyl_row = tuple(map(pick, coroots)), tuple(map(sum, coroots))
-    if not (type(datum.lie_type) is LieType and datum is _root_datum(datum.lie_type)):
-        return ParabolicFlag(datum, pset, complement, phi, table, weyl_row, anticanonical)
     # the library's own datum: every field was computed above from its checked roots
     flag = object.__new__(ParabolicFlag)
     object.__setattr__(flag, "datum", datum)
@@ -173,6 +179,21 @@ def make_flag(datum: RootDatum, parabolic: Iterable[int] = ()) -> ParabolicFlag:
     object.__setattr__(flag, "weyl_row", weyl_row)
     object.__setattr__(flag, "anticanonical", anticanonical)
     return flag
+
+
+def _check_datum(datum: RootDatum) -> None:
+    """InvalidParameter unless ``datum`` has a positive int rank, a tuple of that many int rows
+    of that length for its Cartan matrix, and a tuple of positive roots whose root and coroot
+    coordinates are int tuples of that length: what ``make_flag`` reads before its flag's check."""
+    n = getattr(datum.lie_type, "rank", None)
+    cartan, roots = datum.cartan, datum.positive_roots
+    if not (type(n) is int and n > 0 and type(cartan) is tuple and len(cartan) == n
+            and all(_ints(row, n) for row in cartan) and type(roots) is tuple
+            and all(isinstance(b, PositiveRoot) and _ints(b.root_coords, n) and _ints(b.coroot_coords, n)
+                    for b in roots)):
+        raise InvalidParameter(
+            "a root datum needs a positive int rank, an int Cartan matrix of that size and a tuple "
+            "of positive roots with int coordinates of that length")
 
 
 @dataclass(frozen=True)

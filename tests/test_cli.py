@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -819,9 +820,11 @@ def _subprocess_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-@pytest.mark.parametrize("rank, fmt, read", [("24", "json", 100), ("24", "text", 100), ("2", "json", 0)])
+@pytest.mark.parametrize("rank, fmt, read", [
+    ("24", "json", 100), ("24", "text", 100), ("2", "json", 0), ("40", "json", 100),
+])
 def test_closed_pipe_keeps_the_exit_code_without_a_traceback(rank, fmt, read):
-    # A24 reports outgrow the pipe, so the write itself meets the closed pipe; the
+    # A24 and A40 reports outgrow the pipe, so the write itself meets the closed pipe; the
     # A2 report fits in the stream buffer, so only the flush after it does
     argv = [sys.executable, "-m", "flagcy.cli", "describe", "A", rank, "--format", fmt]
     proc = subprocess.Popen(argv, env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
@@ -830,6 +833,101 @@ def test_closed_pipe_keeps_the_exit_code_without_a_traceback(rank, fmt, read):
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 0
+
+
+def _next_descriptor():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+def test_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    # the report fits in the stream buffer, so the flush meets the closed pipe; stdout is
+    # then pointed at devnull, and the descriptor opened for that must be closed again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        before = _next_descriptor()
+        assert main(["describe", "A", "2", "--format", "json"]) == 0
+        assert _next_descriptor() == before
+
+
+class _Discard:
+    """A stdout that keeps only the length of what it is given."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_a_warm_large_report_is_assembled_without_whole_report_copies(monkeypatch):
+    # the A40 report is about 1 MB; one join of its fragments holds it about once,
+    # where a copy per nesting level or per concatenation would hold it several times
+    argv = ["describe", "A", "40", "--format", "json"]
+    monkeypatch.setattr(sys, "stdout", sink := _Discard())
+    assert main(argv) == 0  # warms the flag and the root rows
+    size, sink.written = sink.written, 0
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sink.written == size > 10**6
+    assert peak < 1.5 * size
+
+
+def _fragmented(value, depth):
+    """``value`` as ``_Rendered`` JSON text at ``depth`` levels of indent, cut every 3 characters."""
+    text = json.dumps(value, indent=2, sort_keys=True, default=str).replace("\n", "\n" + "  " * depth)
+    return cli._Rendered(text[i:i + 3] for i in range(0, len(text), 3))
+
+
+def test_rendered_fragments_enter_verbatim_at_every_depth():
+    leaf = {"b": [1, "x", Fraction(1, 2)], "a": {"c": None}}
+    value = {
+        "z": _fragmented(leaf, 1),
+        "list": [_fragmented([1, 2], 2), {"deep": [_fragmented(leaf, 4), 3]}, _fragmented("s", 2)],
+        "tuple": (_fragmented([], 2),),
+        "empty": _fragmented({}, 1),
+    }
+    plain = {"z": leaf, "list": [[1, 2], {"deep": [leaf, 3]}, "s"], "tuple": [[]], "empty": {}}
+    assert cli._json(value) == json.dumps(plain, indent=2, sort_keys=True, default=str)
+    assert cli._json(_fragmented(leaf, 0)) == json.dumps(leaf, indent=2, sort_keys=True, default=str)
+
+
+@pytest.mark.parametrize("argv", [
+    ["describe", "A", "3"],
+    ["describe", "A", "3", "--format", "json"],
+    ["describe", "A", "0", "--format", "json"],
+    ["describe", "A", "0"],
+], ids=["text", "json", "json-error", "text-error"])
+def test_every_report_ends_in_exactly_one_newline(capsys, argv):
+    main(argv)
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+def test_a_console_run_writes_the_in_process_bytes(capsys):
+    argv = ["describe", "A", "24", "--format", "json"]
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out.encode("ascii")
+    done = subprocess.run([sys.executable, "-m", "flagcy.cli", *argv], env=_subprocess_env(),
+                          capture_output=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == in_process
 
 
 CAPPED_CHILD = """

@@ -462,6 +462,25 @@ def test_non_iterable_vector_input_is_a_typed_error(call, error):
         ],
         pytest.param(lambda f, w: make_flag(None, ()), InvalidParameter, id="make_flag-None"),
         pytest.param(lambda f, w: make_flag("A2", ()), InvalidParameter, id="make_flag-str"),
+        # a hand-made datum's fields are checked before make_flag reads them
+        *[
+            pytest.param(
+                lambda f, w, field=field, value=value: make_flag(
+                    replace(build_root_datum(LieType("A", 3)), **{field: value}), [2]),
+                InvalidParameter,
+                id=f"make_flag-datum-{field}-{name}",
+            )
+            for field, value, name in [
+                ("positive_roots", (*build_root_datum(LieType("A", 3)).positive_roots, "x"), "text-root"),
+                ("positive_roots", [*build_root_datum(LieType("A", 3)).positive_roots], "list"),
+                ("positive_roots", (PositiveRoot((1, 0), (1, 0)),), "short-root"),
+                ("positive_roots", (), "empty"),
+                ("lie_type", None, "None"),
+                ("cartan", ((2, -1, 0), (-1, 2, -1)), "short"),
+                ("cartan", ((2, -1, 0), (-1, 2, "-1"), (0, -1, 2)), "text-entry"),
+                ("cartan", None, "None"),
+            ]
+        ],
         *[
             pytest.param(
                 lambda f, w, verify=verify, psi=psi: verify(replace(_gauduchon(f), psi=psi)),
